@@ -278,14 +278,18 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Advance over one UTF-8 char (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the whole run up to the next quote or backslash
+                    // at once, validating it once. Both delimiters are
+                    // ASCII, so the run ends on a char boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| Error::msg("invalid utf-8 in string"))?;
-                    let ch = s.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -386,6 +390,28 @@ mod tests {
             from_str::<String>("\"\\ud83d\\ude00\"").unwrap(),
             "\u{1F600}"
         );
+    }
+
+    #[test]
+    fn escapes_next_to_multibyte_runs() {
+        let s = "π\"é\\\n😀".to_string();
+        let json = to_string(&s).unwrap();
+        assert_eq!(json, "\"π\\\"é\\\\\\n😀\"");
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+        assert_eq!(
+            from_str::<String>("\"\\tπ\\u00e9x\\\\\"").unwrap(),
+            "\tπéx\\"
+        );
+    }
+
+    #[test]
+    fn empty_and_multibyte_final_strings() {
+        assert_eq!(from_str::<String>("\"\"").unwrap(), "");
+        assert_eq!(from_str::<String>("\"aé\"").unwrap(), "aé");
+        assert_eq!(from_str::<String>("\"😀\"").unwrap(), "😀");
+        let v: Vec<String> = from_str("[\"\",\"ü\",\"\"]").unwrap();
+        assert_eq!(v, ["", "ü", ""]);
+        assert!(from_str::<String>("\"é").is_err(), "unterminated after é");
     }
 
     #[test]

@@ -119,6 +119,29 @@ mod tests {
     }
 
     #[test]
+    fn large_sidecar_round_trips() {
+        let dir = tmp_dir("large");
+        let path = dir.join("octostats.json");
+        let mut s = StatsSidecar::default();
+        for i in 0..4000u64 {
+            let name = match i % 4 {
+                0 => format!("d{}/file-{i}.dat", i % 37),
+                1 => format!("données/π-{i}.bin"),
+                2 => format!("q\"uote\\d-{i}"),
+                _ => format!("emoji-😀-{i}"),
+            };
+            for _ in 0..=i % 3 {
+                s.record_read(&name, 1_000 + i * 7);
+            }
+        }
+        s.save(&path).unwrap();
+        let back = StatsSidecar::load(&path).unwrap();
+        assert_eq!(back.entries.len(), 4000);
+        assert_eq!(back, s);
+        assert_eq!(back.clock_ms(), 1_000 + 3999 * 7);
+    }
+
+    #[test]
     fn missing_file_is_empty_and_corrupt_is_an_error() {
         let dir = tmp_dir("missing");
         let path = dir.join("octostats.json");

@@ -304,9 +304,10 @@ fn determinism_same_seed_same_report() {
     assert_eq!(a, b, "identical config must replay identically");
 }
 
-#[test]
-fn dfsio_write_then_read() {
-    let cfg = DfsioConfig {
+/// DFSIO on a 4-worker cluster with small tiers: 8 GB in 512 MB files, so
+/// the memory tier fills during the write phase.
+fn small_dfsio() -> DfsioConfig {
+    DfsioConfig {
         scenario: Scenario::OctopusFs,
         dfs: DfsConfig {
             workers: 4,
@@ -321,7 +322,49 @@ fn dfsio_write_then_read() {
         file_size: ByteSize::mb(512),
         window: ByteSize::gb(1),
         ..DfsioConfig::default()
+    }
+}
+
+/// The exact `f64::to_bits` of the small DFSIO run's `(GB, MB/s)` series.
+/// DFSIO drives the flow model with concurrent replication pipelines and
+/// tier transfers, so any change to a flow's rate or to a completion
+/// instant moves at least one of these values.
+#[test]
+fn dfsio_series_bits_are_pinned() {
+    const WRITE: [(u64, u64); 4] = [
+        (0x3ff0000000000000, 0x40303f6e6b7ecc34),
+        (0x4008000000000000, 0x4031513346b4c1bf),
+        (0x4014000000000000, 0x4031551a2c063d5b),
+        (0x401c000000000000, 0x4035aa60b707ccb2),
+    ];
+    const READ: [(u64, u64); 7] = [
+        (0x3ff0000000000000, 0x4068c977f8117336),
+        (0x4008000000000000, 0x406b6bb56a647836),
+        (0x4010000000000000, 0x40b0f2fba9386823),
+        (0x4014000000000000, 0x40591b9e616b2914),
+        (0x4018000000000000, 0x4084d55555555555),
+        (0x401c000000000000, 0x4069fec092679088),
+        (0x4020000000000000, 0x4080aaaaaaaaaaab),
+    ];
+    let bits = |series: &[(f64, f64)]| -> Vec<(u64, u64)> {
+        series
+            .iter()
+            .map(|(gb, mbps)| (gb.to_bits(), mbps.to_bits()))
+            .collect()
     };
+    let report = run_dfsio(&small_dfsio());
+    assert_eq!(
+        bits(&report.write),
+        WRITE,
+        "write series {:?}",
+        report.write
+    );
+    assert_eq!(bits(&report.read), READ, "read series {:?}", report.read);
+}
+
+#[test]
+fn dfsio_write_then_read() {
+    let cfg = small_dfsio();
     let report = run_dfsio(&cfg);
     assert!(report.write.len() >= 4, "write series: {:?}", report.write);
     assert!(report.read.len() >= 4, "read series: {:?}", report.read);

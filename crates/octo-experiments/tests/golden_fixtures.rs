@@ -1,8 +1,10 @@
 //! Golden end-to-end digests, stored as a fixture file.
 //!
 //! `tests/fixtures/golden_digests.json` holds the canonical-transcript
-//! digests of the pinned quick runs, captured *before* the sharded-table
-//! refactor of the DFS core. The runs replay the whole stack — workload
+//! digests of the pinned runs, each captured *before* the refactor it
+//! guards: the quick runs before the sharded-table refactor of the DFS
+//! core, the Figure 13-scale fault run before the flow model switched to
+//! component-local rate recompute. The runs replay the whole stack — workload
 //! generation, ingestion, policy decisions (including the XGB predictors
 //! trained from sampled ticks), transfer scheduling, and fault repair — so
 //! a refactor that changes any ordering or accounting moves at least one
@@ -173,4 +175,24 @@ fn xgb_xgb_quick_run_matches_golden_fixture() {
     let trace = settings.trace(TraceKind::Facebook);
     let report = run_trace(settings.sim(Scenario::policy_pair("xgb", "xgb")), &trace);
     check("xgb_xgb_quick", report_digest(&report));
+}
+
+/// The pinned Figure 13-scale fault run (see `common::fig13_fault_input`).
+/// The vacuity guards require crashes, completed repairs and remote task
+/// reads, so the digest covers failover, repair transfers and cross-node
+/// read flows, not only local disk reads.
+#[test]
+fn lru_osa_fig13_fault_run_matches_golden_fixture() {
+    let (trace, cfg) = common::fig13_fault_input(1);
+    let report = run_trace(cfg, &trace);
+    assert!(report.faults.crashes > 0, "pinned fig13 run never crashed");
+    assert!(
+        report.faults.repairs_completed > 0,
+        "pinned fig13 run never completed a repair"
+    );
+    assert!(
+        report.jobs.iter().flat_map(|j| &j.tasks).any(|t| t.remote),
+        "pinned fig13 run never read a block across the network"
+    );
+    check("lru_osa_fig13_fault", report_digest(&report));
 }

@@ -120,6 +120,15 @@ fn watermark_osa_quick_digest_is_thread_count_invariant() {
     });
 }
 
+/// Figure 13 scale: 88 workers under a crash plan.
+#[test]
+fn lru_osa_fig13_fault_digest_is_thread_count_invariant() {
+    check_at_every_width("lru_osa_fig13_fault", |threads| {
+        let (trace, cfg) = common::fig13_fault_input(threads);
+        report_digest(&run_trace(cfg, &trace))
+    });
+}
+
 #[test]
 fn xgb_xgb_quick_digest_is_thread_count_invariant() {
     check_at_every_width("xgb_xgb_quick", |threads| {
