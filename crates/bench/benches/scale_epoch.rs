@@ -5,10 +5,10 @@
 //! Quick mode (CI: `OCTO_BENCH_MODE=quick` or `--quick`) runs one million
 //! files for 50 epochs; full mode runs ten million files for 100. Each
 //! mode repeats the identical workload once per thread count in
-//! `OCTO_SCALE_THREADS` (default `1,2,4,8,16`; `1` is the untouched
-//! serial path) and **asserts every run produced the same decision
-//! digest** — the parallel epoch engine must be byte-identical at any
-//! width. The JSON is the scaling baseline future PRs compare against:
+//! `OCTO_SCALE_THREADS` (default `1,2,4,8,16`; `1` scans the shards
+//! inline through the same engine) and **asserts every run produced the
+//! same decision digest** — the epoch engine must be byte-identical at
+//! any width. The JSON is the scaling baseline later changes compare against:
 //!
 //! ```text
 //! OCTO_BENCH_MODE=quick cargo bench --bench scale_epoch
@@ -84,19 +84,15 @@ fn main() {
         assert_eq!(r.moves, runs[0].moves, "transfer counts diverged");
     }
 
-    // The serial run is the "before" of the heavy-epoch outlier; the best
-    // parallel run (which scores each XGB candidate once instead of once
-    // per victim) is the "after".
-    let serial = &runs[0];
+    let first = &runs[0];
     let best = runs
         .iter()
         .min_by(|a, b| a.mean_epoch_ms().total_cmp(&b.mean_epoch_ms()))
         .expect("at least one run");
     println!(
-        "\nbest width: threads={} (mean {:.2} ms); max-epoch outlier {:.2} ms -> {:.2} ms",
+        "\nbest width: threads={} (mean {:.2} ms, max {:.2} ms)",
         best.threads,
         best.mean_epoch_ms(),
-        serial.max_epoch_ms(),
         best.max_epoch_ms(),
     );
     println!(
@@ -106,9 +102,9 @@ fn main() {
         best.stats_memory_bytes as u64 / best.files.max(1)
     );
 
-    // Top-level numbers stay the serial baseline (comparable across PRs);
-    // the sweep array carries one entry per width and `epoch_ms` the best
-    // width's trace.
+    // Top-level numbers are the first width's run (1 thread by default,
+    // comparable across changes); the sweep array carries one entry per width
+    // and `epoch_ms` the best width's trace.
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"bench\": \"scale_epoch\",\n  \"mode\": \"{}\",\n  \"policy\": \"xgb\",\n",
@@ -120,26 +116,18 @@ fn main() {
          \"accesses_per_sec\": {:.1},\n  \"mean_epoch_ms\": {:.4},\n  \
          \"max_epoch_ms\": {:.4},\n  \"moves\": {},\n  \"peak_rss_kb\": {},\n  \
          \"stats_memory_bytes\": {},\n  \"digest\": {},\n",
-        serial.files,
-        serial.epochs,
-        serial.ingest_secs,
-        serial.ingest_files_per_sec,
-        serial.accesses,
-        serial.accesses_per_sec,
-        serial.mean_epoch_ms(),
-        serial.max_epoch_ms(),
-        serial.moves,
-        serial.peak_rss_kb,
-        serial.stats_memory_bytes,
-        serial.digest,
-    ));
-    json.push_str(&format!(
-        "  \"max_epoch_outlier\": {{\n    \"cause\": \"first-epoch ingest overhang: the serial \
-         XGB loop re-scores its whole 200-candidate window per victim\",\n    \
-         \"before_ms\": {:.4},\n    \"after_ms\": {:.4},\n    \"after_threads\": {}\n  }},\n",
-        serial.max_epoch_ms(),
-        best.max_epoch_ms(),
-        best.threads,
+        first.files,
+        first.epochs,
+        first.ingest_secs,
+        first.ingest_files_per_sec,
+        first.accesses,
+        first.accesses_per_sec,
+        first.mean_epoch_ms(),
+        first.max_epoch_ms(),
+        first.moves,
+        first.peak_rss_kb,
+        first.stats_memory_bytes,
+        first.digest,
     ));
     json.push_str("  \"sweep\": [\n");
     for (i, r) in runs.iter().enumerate() {

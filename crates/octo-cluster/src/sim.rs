@@ -84,9 +84,9 @@ pub struct SimConfig {
     /// Healthy stripes and replicated blocks never pay it.
     pub ec_degraded_read_penalty: f64,
     /// Worker threads for the per-shard epoch fan-out (policy candidate
-    /// scans and repair-candidate collection). 1 = the serial code path;
-    /// any value produces byte-identical simulations — the parallel engine
-    /// merges per-shard results in shard order.
+    /// scans and repair-candidate collection). 1 scans the shards inline,
+    /// through the same code; any value produces byte-identical
+    /// simulations — the engine merges per-shard results in shard order.
     pub epoch_threads: usize,
     /// Block-cache configuration. Disabled by default: a run with
     /// `CacheConfig::default()` is bit-identical to one built before the
@@ -821,7 +821,7 @@ impl<'t> ClusterSim<'t> {
             // within the per-epoch byte budget. With erasure coding it also
             // runs fault-free: de-striping upgrades leave a single replica
             // behind that the monitor tops back up to the tier's target.
-            let planned = self.repair.plan_epoch_pooled(&mut self.dfs, &self.pool);
+            let planned = self.repair.plan_epoch(&mut self.dfs, &self.pool);
             self.execute_transfers(planned, now);
             self.unpark_ready_tasks(now);
             // A permanently dead cluster (every worker down, nobody coming

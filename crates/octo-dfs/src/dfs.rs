@@ -1132,22 +1132,9 @@ impl TieredDfs {
         })
     }
 
-    /// Deprecated name of [`TieredDfs::under_redundant_files`], kept so
-    /// pre-EC callers keep compiling.
-    #[deprecated(note = "renamed to `under_redundant_files` (EC-aware)")]
-    pub fn under_replicated_files(&self) -> impl Iterator<Item = (FileId, usize, usize)> + '_ {
-        self.under_redundant_files()
-    }
-
     /// True while some committed file is under-redundant.
     pub fn has_under_redundant(&self) -> bool {
         self.under_redundant_files().next().is_some()
-    }
-
-    /// Deprecated name of [`TieredDfs::has_under_redundant`].
-    #[deprecated(note = "renamed to `has_under_redundant` (EC-aware)")]
-    pub fn has_under_replicated(&self) -> bool {
-        self.has_under_redundant()
     }
 
     /// Outstanding repair debt: the bytes the repair pipeline still has to
@@ -1318,12 +1305,6 @@ impl TieredDfs {
                 let meta = self.files.get(f)?;
                 (meta.state == FileState::Complete).then_some(f)
             })
-    }
-
-    /// Deprecated name of [`TieredDfs::shard_under_redundant_files`].
-    #[deprecated(note = "renamed to `shard_under_redundant_files` (EC-aware)")]
-    pub fn shard_under_replicated_files(&self, shard: usize) -> impl Iterator<Item = FileId> + '_ {
-        self.shard_under_redundant_files(shard)
     }
 
     /// Bytes currently scheduled to move off or be dropped from `tier`.

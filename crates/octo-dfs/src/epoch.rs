@@ -100,7 +100,7 @@ impl EpochPool {
     }
 
     /// True when fan-outs run inline on the calling thread.
-    pub fn is_serial(&self) -> bool {
+    fn is_serial(&self) -> bool {
         self.threads == 1
     }
 

@@ -425,42 +425,24 @@ impl RepairPlanner {
     /// Files that cannot be repaired right now (a transfer already in
     /// flight, no live source, no placement) are skipped and retried on a
     /// later epoch.
-    pub fn plan_epoch(&self, dfs: &mut crate::TieredDfs) -> Vec<TransferId> {
-        let candidates: Vec<FileId> = dfs.under_redundant_files().map(|(f, _, _)| f).collect();
-        self.plan_from_candidates(dfs, candidates)
-    }
-
-    /// [`RepairPlanner::plan_epoch`] with the candidate collection fanned
-    /// out over `pool`: each worker filters one shard's slice of the
-    /// degraded set, the slices are merged back in shard order (ascending
-    /// file id — the exact order the serial walk produces), and the budget
-    /// loop then runs serially. Byte-identical to the serial path at any
-    /// thread count.
-    pub fn plan_epoch_pooled(
+    ///
+    /// The candidate collection fans out over `pool`: each worker filters
+    /// one shard's slice of the degraded set, the slices are merged back in
+    /// shard order (ascending file id, the order of
+    /// [`crate::TieredDfs::under_redundant_files`]), and the budget loop
+    /// then runs serially. Byte-identical at any thread count.
+    pub fn plan_epoch(
         &self,
         dfs: &mut crate::TieredDfs,
         pool: &crate::epoch::EpochPool,
     ) -> Vec<TransferId> {
-        if pool.is_serial() {
-            return self.plan_epoch(dfs);
-        }
         let shards = pool.scan_shards(dfs, |view| {
             view.dfs()
                 .shard_under_redundant_files(view.shard())
                 .collect::<Vec<FileId>>()
         });
-        let candidates: Vec<FileId> =
-            crate::shard::MergeAsc::new(shards.iter().map(|p| p.items.iter().copied())).collect();
-        self.plan_from_candidates(dfs, candidates)
-    }
-
-    /// The shared budget loop: plans one repair per candidate, in order,
-    /// until the per-epoch byte budget is spent.
-    fn plan_from_candidates(
-        &self,
-        dfs: &mut crate::TieredDfs,
-        candidates: impl IntoIterator<Item = FileId>,
-    ) -> Vec<TransferId> {
+        let candidates =
+            crate::shard::MergeAsc::new(shards.iter().map(|p| p.items.iter().copied()));
         let mut budget = self.bandwidth_per_epoch;
         let mut planned = Vec::new();
         for file in candidates {

@@ -13,7 +13,8 @@
 
 use octo_common::{ByteSize, FileId, NodeId, PerTier, SimTime, StorageTier};
 use octo_dfs::{
-    DfsConfig, DowngradeTarget, FileState, RepairPlanner, TieredDfs, TransferId, TransferKind,
+    DfsConfig, DowngradeTarget, EpochPool, FileState, RepairPlanner, TieredDfs, TransferId,
+    TransferKind,
 };
 use proptest::prelude::*;
 use std::cmp::Reverse;
@@ -286,7 +287,7 @@ proptest! {
         }
         let planner = RepairPlanner::new(ByteSize::gb(64));
         loop {
-            let planned = planner.plan_epoch(&mut dfs);
+            let planned = planner.plan_epoch(&mut dfs, &EpochPool::serial());
             if planned.is_empty() {
                 break;
             }
@@ -529,7 +530,7 @@ proptest! {
         }
         let planner = RepairPlanner::new(ByteSize::gb(64));
         loop {
-            let planned = planner.plan_epoch(&mut dfs);
+            let planned = planner.plan_epoch(&mut dfs, &EpochPool::serial());
             if planned.is_empty() {
                 break;
             }
@@ -693,7 +694,7 @@ fn repair_recreates_lost_memory_replica_on_its_tier() {
     assert!(dfs.has_under_redundant());
 
     let planner = RepairPlanner::new(ByteSize::gb(1));
-    let planned = planner.plan_epoch(&mut dfs);
+    let planned = planner.plan_epoch(&mut dfs, &EpochPool::serial());
     assert_eq!(planned.len(), 1);
     let t = dfs.transfer(planned[0]).unwrap().clone();
     assert_eq!(t.kind, TransferKind::Repair);
@@ -751,7 +752,7 @@ fn repair_spills_down_when_the_lost_tier_is_full() {
     dfs.fail_node(mem_node).unwrap();
     let planner = RepairPlanner::new(ByteSize::gb(4));
     loop {
-        let planned = planner.plan_epoch(&mut dfs);
+        let planned = planner.plan_epoch(&mut dfs, &EpochPool::serial());
         if planned.is_empty() {
             break;
         }
@@ -797,7 +798,9 @@ fn disk_loss_destroys_data_permanently() {
     );
     // ... but repair has no source: the file stays degraded.
     let planner = RepairPlanner::new(ByteSize::gb(1));
-    assert!(planner.plan_epoch(&mut dfs).is_empty());
+    assert!(planner
+        .plan_epoch(&mut dfs, &EpochPool::serial())
+        .is_empty());
     assert!(dfs.has_under_redundant());
 }
 
@@ -850,7 +853,7 @@ fn losing_m_shard_devices_degrades_but_reconstruction_heals() {
     // survivors and the accounting says so.
     let planner = RepairPlanner::new(ByteSize::gb(1));
     loop {
-        let planned = planner.plan_epoch(&mut dfs);
+        let planned = planner.plan_epoch(&mut dfs, &EpochPool::serial());
         if planned.is_empty() {
             break;
         }
@@ -897,7 +900,9 @@ fn losing_more_than_m_shard_devices_loses_the_file() {
 
     // Repair runs dry without touching the unrecoverable stripe.
     let planner = RepairPlanner::new(ByteSize::gb(1));
-    assert!(planner.plan_epoch(&mut dfs).is_empty());
+    assert!(planner
+        .plan_epoch(&mut dfs, &EpochPool::serial())
+        .is_empty());
     let lost: Vec<FileId> = dfs.lost_files().collect();
     assert_eq!(lost, vec![f], "nothing can bring the data back");
 
@@ -917,31 +922,6 @@ fn losing_more_than_m_shard_devices_loses_the_file() {
         }),
         "a lost stripe must decode to InsufficientShards"
     );
-}
-
-/// The pre-EC names survive as deprecation shims and must keep answering
-/// exactly like their EC-aware successors until callers migrate.
-#[test]
-#[allow(deprecated)]
-fn deprecated_under_replicated_shims_agree_with_the_new_names() {
-    let mut dfs = small_dfs();
-    let f = put(&mut dfs, "/shim/a", ByteSize::mb(64), SimTime::ZERO);
-    let node = dfs
-        .block_info(dfs.file_meta(f).unwrap().blocks[0])
-        .replicas()[0]
-        .node;
-    dfs.fail_node(node).unwrap();
-
-    assert_eq!(dfs.has_under_replicated(), dfs.has_under_redundant());
-    let old: Vec<_> = dfs.under_replicated_files().collect();
-    let new: Vec<_> = dfs.under_redundant_files().collect();
-    assert_eq!(old, new);
-    assert!(!old.is_empty(), "a dead replica must degrade the file");
-    for shard in 0..octo_dfs::SHARD_COUNT {
-        let old: Vec<_> = dfs.shard_under_replicated_files(shard).collect();
-        let new: Vec<_> = dfs.shard_under_redundant_files(shard).collect();
-        assert_eq!(old, new);
-    }
 }
 
 #[test]

@@ -35,8 +35,8 @@ pub struct ScaleConfig {
     pub upgrades_per_epoch: u64,
     /// Seed for the access stream and the policy's sampling RNG.
     pub seed: u64,
-    /// Worker threads for the per-shard epoch fan-out; 1 = the serial
-    /// path. The [`ScaleReport::digest`] is identical at every value.
+    /// Worker threads for the per-shard epoch fan-out; 1 scans the shards
+    /// inline. The [`ScaleReport::digest`] is identical at every value.
     pub threads: usize,
 }
 

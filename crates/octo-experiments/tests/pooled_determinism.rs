@@ -1,12 +1,12 @@
 //! The parallel epoch engine against the golden end-to-end digests.
 //!
 //! The fixtures in `tests/fixtures/golden_digests.json` were captured from
-//! fully serial runs. These tests replay the same pinned scenarios with the
-//! per-shard epoch fan-out at 1, 4, and 16 worker threads and require the
-//! canonical-transcript digest to match the serial fixture bit for bit:
-//! thread count must never influence a single policy decision, transfer,
-//! or repair. (1 thread short-circuits to the serial path and anchors the
-//! comparison; 16 gives every shard its own worker.)
+//! single-threaded runs that predate the epoch engine. These tests replay
+//! the same pinned scenarios with the per-shard epoch fan-out at 1, 4, and
+//! 16 worker threads and require the canonical-transcript digest to match
+//! the fixture bit for bit: thread count must never influence a single
+//! policy decision, transfer, or repair. (1 thread runs the same scans
+//! inline; 16 gives every shard its own worker.)
 
 mod common;
 
@@ -106,8 +106,8 @@ fn lru_osa_cache_quick_digest_is_thread_count_invariant() {
     });
 }
 
-/// The watermark family splits its eviction scan with `scan_phases` /
-/// `rescan_shard`; the merge must reproduce the serial victim order — and
+/// The watermark family's exhaustive eviction scan runs through
+/// `scan_phases`; the merge must reproduce the pinned victim order — and
 /// with it the whole transcript — at any shard fan-out.
 #[test]
 fn watermark_osa_quick_digest_is_thread_count_invariant() {

@@ -1,7 +1,9 @@
 //! Classic eviction policies: LRU and LFU (paper Table 1).
 
 use crate::framework::{effective_utilization, DowngradePolicy, TieringConfig};
-use crate::parallel::{shard_budget, victim_hint, Candidate, PhasePlan, ScanBatch};
+use crate::parallel::{
+    exhaustive_phase, shard_budget, victim_hint, Candidate, PhasePlan, ScanBatch,
+};
 use octo_common::{FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
 use std::collections::BTreeSet;
@@ -35,12 +37,7 @@ fn lru_scan_shard(
         if !dfs.is_movable(f) {
             continue;
         }
-        let key = [t.as_millis(), f.raw(), 0];
-        candidates.push(Candidate {
-            order: key,
-            select: key,
-            file: f,
-        });
+        candidates.push(Candidate::keyed([t.as_millis(), f.raw(), 0], f));
         if candidates.len() == budget {
             return ScanBatch {
                 candidates,
@@ -58,19 +55,12 @@ fn lru_scan_shard(
 #[derive(Debug, Clone)]
 pub struct LruDowngrade {
     cfg: TieringConfig,
-    /// Resume point of the current epoch's index walk. Within one
-    /// Algorithm 1 run nothing re-enters the consumed prefix: victims
-    /// become immovable when planned, failed picks land in `skip`, and no
-    /// transfer completes mid-run — so each selection seeks past the last
-    /// victim instead of re-walking the prefix, making a whole epoch
-    /// O(moves · log files) instead of O(moves²).
-    cursor: Option<(SimTime, FileId)>,
 }
 
 impl LruDowngrade {
     /// LRU with the given thresholds.
     pub fn new(cfg: TieringConfig) -> Self {
-        LruDowngrade { cfg, cursor: None }
+        LruDowngrade { cfg }
     }
 }
 
@@ -83,29 +73,6 @@ impl DowngradePolicy for LruDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        _now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // The per-tier recency index *is* the LRU order: the victim is the
-        // first movable entry of the range walk, resumed from where the
-        // previous selection of this epoch left off. An empty `skip` marks
-        // a fresh Algorithm 1 run.
-        if skip.is_empty() {
-            self.cursor = None;
-        }
-        let picked = dfs
-            .tier_recency_iter_after(tier, self.cursor)
-            .find(|(_, f)| !skip.contains(f) && dfs.is_movable(*f));
-        if let Some(entry) = picked {
-            self.cursor = Some(entry);
-        }
-        picked.map(|(_, f)| f)
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -116,14 +83,14 @@ impl DowngradePolicy for LruDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         _now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
+    ) -> Vec<PhasePlan> {
         // Victim order == walk order, so shards scan with a budget and the
         // driver refills on demand (window 1: strict LRU priority).
         let budget = shard_budget(victim_hint(dfs, tier, self.cfg.stop_threshold), 1);
         let shards = pool.scan_shards(dfs, |v| {
             lru_scan_shard(v.dfs(), v.shard(), tier, None, budget)
         });
-        Some(vec![PhasePlan { window: 1, shards }])
+        vec![PhasePlan { window: 1, shards }]
     }
 
     fn rescan_shard(
@@ -161,20 +128,6 @@ impl DowngradePolicy for LfuDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        _now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // Frequency has no maintained index; scan the resident set lazily
-        // (no candidate Vec) with the same deterministic key as before.
-        dfs.files_on_tier(tier)
-            .filter(|f| !skip.contains(f) && dfs.is_movable(*f))
-            .min_by_key(|f| (access_count(dfs, *f), last_used(dfs, *f), *f))
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -185,27 +138,13 @@ impl DowngradePolicy for LfuDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         _now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        // Frequency order needs a sort, so each shard scans its resident
-        // slice exhaustively; the ascending (count, last, id) merge is the
-        // serial victim sequence.
-        let shards = pool.scan_shards(dfs, |v| {
-            let dfs = v.dfs();
-            ScanBatch::sorted(
-                v.files_on_tier(tier)
-                    .filter(|f| dfs.is_movable(*f))
-                    .map(|f| {
-                        let key = [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()];
-                        Candidate {
-                            order: key,
-                            select: key,
-                            file: f,
-                        }
-                    })
-                    .collect(),
-            )
-        });
-        Some(vec![PhasePlan { window: 1, shards }])
+    ) -> Vec<PhasePlan> {
+        // Frequency has no maintained index, so the scan is exhaustive;
+        // the victim order is ascending (count, last use, id).
+        vec![exhaustive_phase(pool, dfs, tier, 1, |dfs, f| {
+            let key = [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()];
+            Some(Candidate::keyed(key, f))
+        })]
     }
 }
 

@@ -11,6 +11,10 @@
 //! plus lifecycle callbacks (file created / accessed / deleted, periodic
 //! tick) through which stateful policies maintain weights or train models.
 //!
+//! A downgrade policy answers decision point 2 with a victim *order*: its
+//! per-shard candidate scans ([`DowngradePolicy::scan_phases`]), which the
+//! engine merges and consumes one victim at a time ([`crate::parallel`]).
+//!
 //! [`TieringEngine`] is the Replication Manager's orchestration loop: it
 //! runs Algorithm 1 and Algorithm 2 against a [`TieredDfs`], producing the
 //! [`TransferId`]s whose I/O the cluster layer then simulates.
@@ -92,42 +96,6 @@ pub fn effective_utilization(dfs: &TieredDfs, tier: StorageTier) -> f64 {
         .fraction_of(capacity)
 }
 
-/// Bytes currently scheduled to move off or be dropped from `tier`.
-/// Delegates to the DFS's incrementally-maintained counter (O(1)).
-pub fn pending_outgoing(dfs: &TieredDfs, tier: StorageTier) -> ByteSize {
-    dfs.pending_outgoing(tier)
-}
-
-/// Movable downgrade candidates on a tier, ascending by id: committed files
-/// with a live replica on `tier`, no transfer in flight, and not in `skip`.
-///
-/// This is the unordered candidate *set*; recency-ordered policies should
-/// prefer [`lru_candidates`], which walks the maintained index instead of
-/// allocating.
-pub fn downgrade_candidates(
-    dfs: &TieredDfs,
-    tier: StorageTier,
-    skip: &BTreeSet<FileId>,
-) -> Vec<FileId> {
-    dfs.files_on_tier(tier)
-        .filter(|f| !skip.contains(f) && dfs.is_movable(*f))
-        .collect()
-}
-
-/// Movable downgrade candidates on a tier in LRU order (least recently
-/// used first, ties ascending by id): a lazy range-walk over the per-tier
-/// recency index. Selecting the next victim is O(log n + skipped)
-/// instead of a collect-and-sort over every resident file.
-pub fn lru_candidates<'a>(
-    dfs: &'a TieredDfs,
-    tier: StorageTier,
-    skip: &'a BTreeSet<FileId>,
-) -> impl Iterator<Item = FileId> + 'a {
-    dfs.tier_recency_iter(tier)
-        .map(|(_, f)| f)
-        .filter(move |f| !skip.contains(f) && dfs.is_movable(*f))
-}
-
 /// A downgrade policy: Algorithm 1's four decision points plus callbacks.
 pub trait DowngradePolicy {
     /// Short identifier used in reports ("lru", "xgb", ...).
@@ -136,15 +104,19 @@ pub trait DowngradePolicy {
     /// Decision point 1: should the downgrade process start for `tier`?
     fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, now: SimTime) -> bool;
 
-    /// Decision point 2: which file to downgrade next. `skip` holds files
-    /// already attempted in this run.
-    fn select_file(
-        &mut self,
+    /// Decision point 2: the run's victim order, as read-only per-shard
+    /// candidate scans fanned out over `pool` (see [`crate::parallel`]).
+    /// Called after [`DowngradePolicy::start_downgrade`] returned `true`
+    /// and before anything is planned. The engine then takes victims in
+    /// that order, planning each and checking
+    /// [`DowngradePolicy::stop_downgrade`] after every one.
+    fn scan_phases(
+        &self,
+        pool: &EpochPool,
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId>;
+    ) -> Vec<PhasePlan>;
 
     /// Decision point 3: where the replicas go (default: let the placement
     /// policy choose among lower tiers, per §5.3).
@@ -171,25 +143,6 @@ pub trait DowngradePolicy {
 
     /// Periodic housekeeping (model training data sampling etc.).
     fn on_tick(&mut self, _dfs: &TieredDfs, _now: SimTime) {}
-
-    /// The split form of one Algorithm 1 run: read-only per-shard
-    /// candidate scans fanned out over `pool`, to be consumed by the
-    /// engine's order-preserving merge/commit driver (see
-    /// [`crate::parallel`]). Called after [`DowngradePolicy::start_downgrade`]
-    /// returned `true` and before anything is planned, so scans observe
-    /// exactly the state the serial loop's first selection would.
-    ///
-    /// The default returns `None` — no split form — and the pooled engine
-    /// falls back to the serial select loop for this policy.
-    fn scan_phases(
-        &self,
-        _pool: &EpochPool,
-        _dfs: &TieredDfs,
-        _tier: StorageTier,
-        _now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        None
-    }
 
     /// Extends a budget-truncated shard scan: resumes the shard's index
     /// walk strictly after `resume` and returns up to `budget` more
@@ -293,44 +246,23 @@ impl TieringEngine {
         )
     }
 
-    /// Runs Algorithm 1 for `tier`, returning the transfers planned.
+    /// Runs Algorithm 1 for `tier` on a one-thread pool, returning the
+    /// transfers planned.
     pub fn run_downgrade(
         &mut self,
         dfs: &mut TieredDfs,
         tier: StorageTier,
         now: SimTime,
     ) -> Vec<TransferId> {
-        let Some(policy) = self.downgrade.as_mut() else {
-            return Vec::new();
-        };
-        let mut planned = Vec::new();
-        if !policy.start_downgrade(dfs, tier, now) {
-            return planned;
-        }
-        let mut skip = BTreeSet::new();
-        while let Some(file) = policy.select_file(dfs, tier, now, &skip) {
-            skip.insert(file);
-            let target = policy.select_target(dfs, file, tier);
-            if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
-                planned.push(id);
-            }
-            if policy.stop_downgrade(dfs, tier, now) {
-                break;
-            }
-        }
-        planned
+        self.run_downgrade_pooled(dfs, tier, now, &EpochPool::serial())
     }
 
     /// Runs Algorithm 1 for `tier` with the candidate scan fanned out over
-    /// `pool`, returning the transfers planned.
-    ///
-    /// A one-thread pool takes the untouched serial path
-    /// ([`TieringEngine::run_downgrade`]); otherwise the policy's
-    /// [`DowngradePolicy::scan_phases`] split runs — parallel read-only
-    /// shard scans merged and committed serially in shard order — which is
-    /// byte-identical to the serial path at any thread count (the
-    /// determinism tests pin this against the golden digests). A policy
-    /// without a split form falls back to the serial select loop.
+    /// `pool`, returning the transfers planned: the policy's
+    /// [`DowngradePolicy::scan_phases`] scans the shards (inline and in
+    /// shard order on a one-thread pool), then one serial merge commits
+    /// the victims in order. The victims are byte-identical at any pool
+    /// width (the determinism tests pin this against the golden digests).
     pub fn run_downgrade_pooled(
         &mut self,
         dfs: &mut TieredDfs,
@@ -338,36 +270,14 @@ impl TieringEngine {
         now: SimTime,
         pool: &EpochPool,
     ) -> Vec<TransferId> {
-        if pool.is_serial() {
-            return self.run_downgrade(dfs, tier, now);
-        }
         let Some(policy) = self.downgrade.as_mut() else {
             return Vec::new();
         };
         if !policy.start_downgrade(dfs, tier, now) {
             return Vec::new();
         }
-        match policy.scan_phases(pool, dfs, tier, now) {
-            Some(phases) => {
-                crate::parallel::run_merge_commit(&mut **policy, dfs, tier, now, phases)
-            }
-            None => {
-                // No split form: the serial Algorithm 1 loop, verbatim.
-                let mut planned = Vec::new();
-                let mut skip = BTreeSet::new();
-                while let Some(file) = policy.select_file(dfs, tier, now, &skip) {
-                    skip.insert(file);
-                    let target = policy.select_target(dfs, file, tier);
-                    if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
-                        planned.push(id);
-                    }
-                    if policy.stop_downgrade(dfs, tier, now) {
-                        break;
-                    }
-                }
-                planned
-            }
-        }
+        let phases = policy.scan_phases(pool, dfs, tier, now);
+        crate::parallel::run_merge_commit(&mut **policy, dfs, tier, now, phases)
     }
 
     /// Runs Algorithm 2, returning the transfers planned. `accessed` is the

@@ -17,11 +17,11 @@
 //! | Watermark | [`watermark`] |    |             |
 //! | Hybrid    | [`watermark`] |    |             |
 //!
-//! The [`parallel`] module holds the split form of Algorithm 1 used by
-//! [`framework::TieringEngine::run_downgrade_pooled`]: per-shard candidate
-//! scans fan out over an [`octo_dfs::EpochPool`] and a serial
-//! order-preserving merge commits victims, byte-identical to the serial
-//! loop at any thread count.
+//! The [`parallel`] module holds Algorithm 1's driver, used by
+//! [`framework::TieringEngine::run_downgrade_pooled`] at every pool width:
+//! per-shard candidate scans fan out over an [`octo_dfs::EpochPool`] and a
+//! serial order-preserving merge commits victims, byte-identical at any
+//! thread count.
 
 pub mod classic;
 pub mod framework;
@@ -35,11 +35,11 @@ pub mod xgb;
 
 pub use classic::{LfuDowngrade, LruDowngrade, OsaUpgrade};
 pub use framework::{
-    downgrade_candidates, effective_utilization, lru_candidates, pending_outgoing, DowngradePolicy,
-    TieringConfig, TieringEngine, UpgradeChoice, UpgradePolicy,
+    effective_utilization, DowngradePolicy, TieringConfig, TieringEngine, UpgradeChoice,
+    UpgradePolicy,
 };
 pub use pacman::{LfuFDowngrade, LifeDowngrade};
-pub use parallel::{encode_f64, Candidate, PhasePlan, ScanBatch};
+pub use parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan, ScanBatch};
 pub use plan::{plan_moves, MovePlan, PlanStrategy, PlannedMove, PlannerConfig, TierPlanRow};
 pub use registry::{downgrade_policy, upgrade_policy, DOWNGRADE_NAMES, UPGRADE_NAMES};
 pub use watermark::{

@@ -11,29 +11,26 @@
 //!   `P_old`; if empty, the LFU file from `P_new`.
 //!
 //! Because the per-tier recency index is ordered by last use, `P_old` is a
-//! *prefix* of the index walk and `P_new` the remaining suffix: one pass,
-//! no allocation, and the suffix is only visited when the prefix yields no
-//! victim.
+//! *prefix* of the index walk and `P_new` the remaining suffix, so one
+//! pass over each shard's slice classifies it into both.
 
 use crate::classic::{access_count, last_used};
 use crate::framework::{effective_utilization, DowngradePolicy, TieringConfig};
 use crate::parallel::{Candidate, PhasePlan, ScanBatch};
 use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::{EpochPool, ShardEpochPlan, TieredDfs};
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
 
 fn file_size(dfs: &TieredDfs, f: FileId) -> ByteSize {
     dfs.file_meta(f).map_or(ByteSize::ZERO, |m| m.size)
 }
 
-/// The split scan shared by LIFE and LFU-F. Old/new membership is frozen
+/// The scan shared by LIFE and LFU-F. Old/new membership is frozen
 /// within a run (`now` and the index's last-use times do not move), so
 /// each shard classifies its recency slice once into a `P_old` and a
 /// `P_new` batch; the driver exhausts the merged `P_old` phase before
-/// touching `P_new`, which is exactly the serial prefix-then-suffix
-/// fallback order. `new_key` is the *minimized* `[u64; 3]` form of the
-/// serial maximization key (descending components bitwise-complemented).
+/// touching `P_new`. `P_old` goes least frequently used first; `new_key`
+/// is the ascending `P_new` order (descending components
+/// bitwise-complemented).
 fn pacman_scan_phases(
     pool: &EpochPool,
     dfs: &TieredDfs,
@@ -52,18 +49,9 @@ fn pacman_scan_phases(
             }
             if now.duration_since(last) > window {
                 let key = [access_count(dfs, f), last.as_millis(), f.raw()];
-                old.push(Candidate {
-                    order: key,
-                    select: key,
-                    file: f,
-                });
+                old.push(Candidate::keyed(key, f));
             } else {
-                let key = new_key(dfs, f);
-                new.push(Candidate {
-                    order: key,
-                    select: key,
-                    file: f,
-                });
+                new.push(Candidate::keyed(new_key(dfs, f), f));
             }
         }
         (ScanBatch::sorted(old), ScanBatch::sorted(new))
@@ -96,47 +84,6 @@ fn pacman_scan_phases(
     ]
 }
 
-/// Walks the tier's recency index once and returns the LFU victim of
-/// `P_old` (files whose last use predates the window), falling back to the
-/// best `P_new` file under `new_key` maximization when `P_old` is empty.
-///
-/// `new_key` returns the ordering key a `P_new` candidate is *maximized*
-/// by, mirroring the original `max_by_key` semantics of both policies.
-fn select_old_then_new<K: Ord>(
-    dfs: &TieredDfs,
-    tier: StorageTier,
-    now: SimTime,
-    window: octo_common::SimDuration,
-    skip: &BTreeSet<FileId>,
-    new_key: impl Fn(&TieredDfs, FileId) -> K,
-) -> Option<FileId> {
-    let mut best_old: Option<(u64, SimTime, FileId)> = None;
-    let mut best_new: Option<(K, FileId)> = None;
-    for (last, f) in dfs.tier_recency_iter(tier) {
-        let is_old = now.duration_since(last) > window;
-        if !is_old && best_old.is_some() {
-            // The index is ordered by last use, so `P_old` is a prefix:
-            // once inside `P_new` with an old victim in hand, stop.
-            break;
-        }
-        if skip.contains(&f) || !dfs.is_movable(f) {
-            continue;
-        }
-        if is_old {
-            let key = (access_count(dfs, f), last, f);
-            if best_old.is_none_or(|b| key < b) {
-                best_old = Some(key);
-            }
-        } else {
-            let key = (new_key(dfs, f), f);
-            if best_new.as_ref().is_none_or(|b| key > *b) {
-                best_new = Some(key);
-            }
-        }
-    }
-    best_old.map(|(_, _, f)| f).or(best_new.map(|(_, f)| f))
-}
-
 /// PACMan LIFE.
 #[derive(Debug, Clone)]
 pub struct LifeDowngrade {
@@ -159,19 +106,6 @@ impl DowngradePolicy for LifeDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // P_new fallback: the largest file (ties on *ascending* id).
-        select_old_then_new(dfs, tier, now, self.cfg.pacman_window, skip, |dfs, f| {
-            (file_size(dfs, f), Reverse(f))
-        })
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -182,16 +116,11 @@ impl DowngradePolicy for LifeDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        // P_new maximizes (size, Reverse(id)); minimized: (!size, id).
-        Some(pacman_scan_phases(
-            pool,
-            dfs,
-            tier,
-            now,
-            self.cfg.pacman_window,
-            |dfs, f| [!file_size(dfs, f).as_bytes(), f.raw(), 0],
-        ))
+    ) -> Vec<PhasePlan> {
+        // P_new: the largest file first, ties on ascending id.
+        pacman_scan_phases(pool, dfs, tier, now, self.cfg.pacman_window, |dfs, f| {
+            [!file_size(dfs, f).as_bytes(), f.raw(), 0]
+        })
     }
 }
 
@@ -217,20 +146,6 @@ impl DowngradePolicy for LfuFDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // P_new fallback: the LFU file, i.e. *minimize* (count, last, id) —
-        // expressed as maximizing its reverse.
-        select_old_then_new(dfs, tier, now, self.cfg.pacman_window, skip, |dfs, f| {
-            Reverse((access_count(dfs, f), last_used(dfs, f), f))
-        })
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -241,16 +156,10 @@ impl DowngradePolicy for LfuFDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        // P_new maximizes Reverse((count, last, id)), i.e. minimizes the
-        // plain LFU key — same shape as the P_old phase.
-        Some(pacman_scan_phases(
-            pool,
-            dfs,
-            tier,
-            now,
-            self.cfg.pacman_window,
-            |dfs, f| [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()],
-        ))
+    ) -> Vec<PhasePlan> {
+        // P_new: the LFU file first, the same key as P_old.
+        pacman_scan_phases(pool, dfs, tier, now, self.cfg.pacman_window, |dfs, f| {
+            [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()]
+        })
     }
 }

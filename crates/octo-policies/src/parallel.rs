@@ -1,16 +1,17 @@
-//! The split form of Algorithm 1: parallel per-shard candidate scans,
-//! serial order-preserving merge/commit.
+//! Algorithm 1's driver: per-shard candidate scans (parallel on a wider
+//! pool), serial order-preserving merge/commit.
 //!
-//! # Why the split is exact
+//! # Why one scan per run is exact
 //!
-//! Within one downgrade run every input to victim selection is frozen: no
-//! access is recorded, `now` does not advance, statistics, tracked
-//! weights, and model predictions are all functions of state that only
-//! changes *between* runs. The only mid-run mutation is
-//! `plan_downgrade` flipping the chosen victim's own movability — which
-//! merely removes that victim from future consideration. The serial
-//! victim sequence is therefore a deterministic consumption of a fixed
-//! priority ordering, and that ordering can be produced shard by shard:
+//! The paper's Algorithm 1 selects the next victim after every planned
+//! move. Within one downgrade run, though, every input to victim
+//! selection is frozen: no access is recorded, `now` does not advance,
+//! statistics, tracked weights, and model predictions are all functions
+//! of state that only changes *between* runs. The only mid-run mutation
+//! is `plan_downgrade` flipping the chosen victim's own movability —
+//! which merely removes that victim from future consideration. The victim
+//! sequence is therefore a deterministic consumption of a fixed priority
+//! ordering, and that ordering can be produced once, shard by shard:
 //!
 //! 1. **Scan** (parallel, read-only): each shard walks its slice of the
 //!    relevant index and emits [`Candidate`]s carrying two normalized
@@ -20,28 +21,31 @@
 //!    k-way merge in ascending `order`; a window of up to
 //!    [`PhasePlan::window`] merged candidates is kept sorted by `select`,
 //!    and each iteration pops the window minimum, plans its downgrade,
-//!    and re-checks the stop condition — exactly the serial loop's
-//!    select/plan/stop cadence.
+//!    and re-checks the stop condition — Algorithm 1's select/plan/stop
+//!    cadence.
 //!
 //! Keys are `[u64; 3]` with every component order-normalized (times as
 //! milliseconds, floats through [`encode_f64`], descending orders
 //! bitwise-complemented) and the file id embedded, so candidate keys are
-//! globally unique and ascending key order *is* the serial consumption
-//! order. Policies whose victim order is their index's walk order (LRU,
-//! XGB) scan with a per-shard candidate **budget** and leave a resume
-//! cursor; the driver refills a drained, unexhausted slice — with a
-//! doubled budget — before it ever consults the other shards' heads, so
+//! globally unique and ascending key order *is* the consumption order.
+//! Policies whose victim order is their index's walk order (LRU, XGB)
+//! scan with a per-shard candidate **budget** and leave a resume cursor;
+//! the driver refills a drained, unexhausted slice — with a doubled
+//! budget — before it ever consults the other shards' heads, so
 //! truncation can never reorder the merge. Policies whose victim order
-//! needs a full sort (LFU, LRFU, EXD, LIFE, LFU-F) scan exhaustively and
-//! never resume.
+//! needs a full sort (LFU, LRFU, EXD, LIFE, LFU-F, watermark, hybrid)
+//! scan exhaustively and never resume; [`exhaustive_phase`] builds such a
+//! phase from a key function.
 //!
 //! Thread count affects only which worker produces which shard's slice,
 //! never the slices' contents or the merge order — the engine's output is
 //! byte-identical from one thread to [`SHARD_COUNT`](octo_dfs::SHARD_COUNT).
+//! A one-thread pool scans the shards inline, in shard order, through the
+//! same driver.
 
 use crate::framework::DowngradePolicy;
 use octo_common::{FileId, SimTime, StorageTier};
-use octo_dfs::{ShardEpochPlan, TieredDfs, TransferId};
+use octo_dfs::{EpochPool, ShardEpochPlan, TieredDfs, TransferId};
 use std::collections::BTreeSet;
 
 /// One downgrade candidate produced by a shard scan.
@@ -55,6 +59,17 @@ pub struct Candidate {
     pub select: [u64; 3],
     /// The file this candidate would downgrade.
     pub file: FileId,
+}
+
+impl Candidate {
+    /// A strict-priority candidate: merged and selected under one key.
+    pub fn keyed(key: [u64; 3], file: FileId) -> Self {
+        Candidate {
+            order: key,
+            select: key,
+            file,
+        }
+    }
 }
 
 /// One shard's scan result: candidates ascending in `order`, plus a
@@ -80,11 +95,11 @@ impl ScanBatch {
     }
 }
 
-/// One sequential phase of a split run: the per-shard scan results and
-/// the window width under which victims are selected from the merged
-/// stream. A policy with a two-stage victim order (PACMan's `P_old` then
-/// `P_new`) returns two phases; the driver fully exhausts phase *i*
-/// before consuming phase *i + 1* — mirroring the serial fallback order.
+/// One sequential phase of a run: the per-shard scan results and the
+/// window width under which victims are selected from the merged stream.
+/// A policy with a two-stage victim order (PACMan's `P_old` then `P_new`)
+/// returns two phases; the driver fully exhausts phase *i* before
+/// consuming phase *i + 1*.
 #[derive(Debug, Clone)]
 pub struct PhasePlan {
     /// Sliding-window width: 1 for strict-priority policies, the
@@ -92,6 +107,29 @@ pub struct PhasePlan {
     pub window: usize,
     /// One scan batch per shard, in ascending shard order.
     pub shards: Vec<ShardEpochPlan<ScanBatch>>,
+}
+
+/// One exhaustive phase over `tier`'s movable residents, for victim orders
+/// no maintained index walks: each shard maps its residents through
+/// `candidate` (`None` leaves a file out) and sorts them, with no resume
+/// cursor.
+pub fn exhaustive_phase(
+    pool: &EpochPool,
+    dfs: &TieredDfs,
+    tier: StorageTier,
+    window: usize,
+    candidate: impl Fn(&TieredDfs, FileId) -> Option<Candidate> + Sync,
+) -> PhasePlan {
+    let shards = pool.scan_shards(dfs, |v| {
+        let dfs = v.dfs();
+        ScanBatch::sorted(
+            v.files_on_tier(tier)
+                .filter(|f| dfs.is_movable(*f))
+                .filter_map(|f| candidate(dfs, f))
+                .collect(),
+        )
+    });
+    PhasePlan { window, shards }
 }
 
 /// Maps `f64` to `u64` preserving `total_cmp` order (negative values
@@ -174,10 +212,9 @@ fn next_candidate(
     Some(c)
 }
 
-/// The serial half of a split run: consumes the per-shard scan results
-/// phase by phase, windowed-merging candidates and committing one
-/// downgrade at a time with the serial loop's exact select → plan → stop
-/// cadence.
+/// The serial half of a run: consumes the per-shard scan results phase
+/// by phase, windowed-merging candidates and committing one downgrade at
+/// a time with Algorithm 1's select → plan → stop cadence.
 pub(crate) fn run_merge_commit(
     policy: &mut dyn DowngradePolicy,
     dfs: &mut TieredDfs,

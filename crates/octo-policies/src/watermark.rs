@@ -32,7 +32,7 @@
 use crate::framework::{
     effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
 };
-use crate::parallel::{encode_f64, Candidate, PhasePlan, ScanBatch};
+use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
 use crate::xgb::{sample_files, DOWNGRADE_WINDOW, UPGRADE_WINDOW};
 use octo_access::{AccessPredictor, LearnerConfig};
 use octo_common::{ByteSize, DetRng, FileId, SimTime, StorageTier};
@@ -183,10 +183,10 @@ fn eviction_key(bands: &BandTracker, dfs: &TieredDfs, file: FileId, now: SimTime
     [band.rank(), encode_f64(heat), file.raw()]
 }
 
-/// The exhaustive watermark shard scan: band membership and heat are
-/// frozen within one run, so each shard classifies its residents once and
-/// the ascending (band, heat, id) merge is the serial victim sequence.
-/// Hot-band files never become candidates.
+/// The exhaustive watermark scan: band membership and heat are frozen
+/// within one run, so each shard classifies its residents once and the
+/// stream is merged in ascending (band, heat, id) order. Hot-band files
+/// never become candidates.
 fn watermark_scan_phases(
     bands: &BandTracker,
     window: usize,
@@ -196,23 +196,16 @@ fn watermark_scan_phases(
     now: SimTime,
     select: impl Fn(&TieredDfs, FileId, [u64; 3]) -> [u64; 3] + Sync,
 ) -> Vec<PhasePlan> {
-    let shards = pool.scan_shards(dfs, |v| {
-        let dfs = v.dfs();
-        ScanBatch::sorted(
-            v.files_on_tier(tier)
-                .filter(|f| dfs.is_movable(*f) && bands.effective(dfs, *f, now) != Band::Hot)
-                .map(|f| {
-                    let order = eviction_key(bands, dfs, f, now);
-                    Candidate {
-                        order,
-                        select: select(dfs, f, order),
-                        file: f,
-                    }
-                })
-                .collect(),
-        )
-    });
-    vec![PhasePlan { window, shards }]
+    vec![exhaustive_phase(pool, dfs, tier, window, |dfs, f| {
+        (bands.effective(dfs, f, now) != Band::Hot).then(|| {
+            let order = eviction_key(bands, dfs, f, now);
+            Candidate {
+                order,
+                select: select(dfs, f, order),
+                file: f,
+            }
+        })
+    })]
 }
 
 /// Watermark downgrade: evict cold-band files coldest-first; warm files
@@ -240,24 +233,6 @@ impl DowngradePolicy for WatermarkDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // Band/heat order is unrelated to any maintained index order, so
-        // this is a lazy scan over the resident set — no candidate Vec.
-        dfs.files_on_tier(tier)
-            .filter(|f| {
-                !skip.contains(f)
-                    && dfs.is_movable(*f)
-                    && self.bands.effective(dfs, *f, now) != Band::Hot
-            })
-            .min_by_key(|f| eviction_key(&self.bands, dfs, *f, now))
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -268,16 +243,8 @@ impl DowngradePolicy for WatermarkDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        Some(watermark_scan_phases(
-            &self.bands,
-            1,
-            pool,
-            dfs,
-            tier,
-            now,
-            |_, _, order| order,
-        ))
+    ) -> Vec<PhasePlan> {
+        watermark_scan_phases(&self.bands, 1, pool, dfs, tier, now, |_, _, order| order)
     }
 
     fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {
@@ -410,32 +377,6 @@ impl DowngradePolicy for HybridDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // The first `xgb_candidates` non-hot residents in watermark order
-        // form the window; the predictor picks within it.
-        let mut candidates: Vec<([u64; 3], FileId)> = dfs
-            .files_on_tier(tier)
-            .filter(|f| {
-                !skip.contains(f)
-                    && dfs.is_movable(*f)
-                    && self.bands.effective(dfs, *f, now) != Band::Hot
-            })
-            .map(|f| (eviction_key(&self.bands, dfs, f, now), f))
-            .collect();
-        candidates.sort_unstable();
-        candidates.truncate(self.cfg.xgb_candidates);
-        candidates
-            .into_iter()
-            .min_by_key(|(order, f)| self.select_key(dfs, *f, *order, now))
-            .map(|(_, f)| f)
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -446,8 +387,10 @@ impl DowngradePolicy for HybridDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        Some(watermark_scan_phases(
+    ) -> Vec<PhasePlan> {
+        // The first `xgb_candidates` non-hot residents in watermark order
+        // form the window; the predictor picks within it.
+        watermark_scan_phases(
             &self.bands,
             self.cfg.xgb_candidates,
             pool,
@@ -455,7 +398,7 @@ impl DowngradePolicy for HybridDowngrade {
             tier,
             now,
             |dfs, f, order| self.select_key(dfs, f, order, now),
-        ))
+        )
     }
 
     fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {

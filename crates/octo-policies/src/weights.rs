@@ -12,7 +12,7 @@
 use crate::framework::{
     effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
 };
-use crate::parallel::{encode_f64, Candidate, PhasePlan, ScanBatch};
+use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
 use octo_common::{ByteSize, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
 use std::collections::{BTreeSet, HashMap};
@@ -86,12 +86,10 @@ impl WeightTracker {
     }
 }
 
-/// The split scan shared by LRFU and EXD: weights are frozen within one
-/// run, so each shard decays and encodes its residents' weights once
-/// (instead of the serial loop's per-victim re-decay of the whole tier)
-/// and the ascending (encoded weight, id) merge is the serial victim
-/// sequence. Weight order is unrelated to any maintained index order, so
-/// the scan is exhaustive — no resume cursors.
+/// The scan shared by LRFU and EXD: weights are frozen within one run,
+/// so each resident's weight is decayed and encoded once per run, and the
+/// victim order is ascending (weight, id). Weight order follows no
+/// maintained index, so the scan is exhaustive.
 fn weight_scan_phases(
     tracker: &WeightTracker,
     pool: &EpochPool,
@@ -99,23 +97,10 @@ fn weight_scan_phases(
     tier: StorageTier,
     now: SimTime,
 ) -> Vec<PhasePlan> {
-    let shards = pool.scan_shards(dfs, |v| {
-        let dfs = v.dfs();
-        ScanBatch::sorted(
-            v.files_on_tier(tier)
-                .filter(|f| dfs.is_movable(*f))
-                .map(|f| {
-                    let key = [encode_f64(tracker.decayed_weight(f, now)), f.raw(), 0];
-                    Candidate {
-                        order: key,
-                        select: key,
-                        file: f,
-                    }
-                })
-                .collect(),
-        )
-    });
-    vec![PhasePlan { window: 1, shards }]
+    vec![exhaustive_phase(pool, dfs, tier, 1, |_, f| {
+        let key = [encode_f64(tracker.decayed_weight(f, now)), f.raw(), 0];
+        Some(Candidate::keyed(key, f))
+    })]
 }
 
 /// LRFU downgrade: evict the file with the lowest recency+frequency weight.
@@ -144,25 +129,6 @@ impl DowngradePolicy for LrfuDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // Weight order is not recency order, so this stays a scan — but a
-        // lazy one over the resident-set index, with no candidate Vec.
-        dfs.files_on_tier(tier)
-            .filter(|f| !skip.contains(f) && dfs.is_movable(*f))
-            .min_by(|a, b| {
-                self.tracker
-                    .decayed_weight(*a, now)
-                    .total_cmp(&self.tracker.decayed_weight(*b, now))
-                    .then(a.cmp(b))
-            })
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -173,8 +139,8 @@ impl DowngradePolicy for LrfuDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        Some(weight_scan_phases(&self.tracker, pool, dfs, tier, now))
+    ) -> Vec<PhasePlan> {
+        weight_scan_phases(&self.tracker, pool, dfs, tier, now)
     }
 
     fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {
@@ -217,23 +183,6 @@ impl DowngradePolicy for ExdDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        dfs.files_on_tier(tier)
-            .filter(|f| !skip.contains(f) && dfs.is_movable(*f))
-            .min_by(|a, b| {
-                self.tracker
-                    .decayed_weight(*a, now)
-                    .total_cmp(&self.tracker.decayed_weight(*b, now))
-                    .then(a.cmp(b))
-            })
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -244,8 +193,8 @@ impl DowngradePolicy for ExdDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        Some(weight_scan_phases(&self.tracker, pool, dfs, tier, now))
+    ) -> Vec<PhasePlan> {
+        weight_scan_phases(&self.tracker, pool, dfs, tier, now)
     }
 
     fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {

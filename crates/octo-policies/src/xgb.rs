@@ -64,9 +64,8 @@ pub(crate) fn sample_files(
 /// movable entries of the shard's recency walk, merge-ordered by the walk
 /// itself (the stream must reproduce LRU candidate-window membership) and
 /// window-ordered by (encoded prediction, last use, id) — the serial
-/// tie-break. Predictions are frozen within a run, so scoring each entry
-/// once at scan time replaces the serial loop's per-victim re-scoring of
-/// the whole window; this is where the split's algorithmic win comes from.
+/// tie-break. Predictions are frozen within a run, so each entry is
+/// scored once per run, not once per victim it competes against.
 fn xgb_scan_shard(
     predictor: &AccessPredictor,
     dfs: &TieredDfs,
@@ -108,16 +107,6 @@ pub struct XgbDowngrade {
     cfg: TieringConfig,
     predictor: AccessPredictor,
     rng: DetRng,
-    /// Epoch cursor over the per-tier LRU walk. Within one Algorithm 1
-    /// run, entries rejected because they are in `skip` or immovable stay
-    /// ineligible (victims become immovable when planned, failed picks
-    /// land in `skip`, no transfer completes mid-run), so the walk may
-    /// permanently hop the leading run of ineligible entries instead of
-    /// re-skipping it on every selection. Entries that were eligible but
-    /// simply not chosen stay *before* the cursor's first-eligible bound
-    /// and are re-scored — the candidate windows, and therefore the
-    /// victim sequence, are bit-identical to a full re-walk.
-    cursor: Option<(SimTime, FileId)>,
 }
 
 impl XgbDowngrade {
@@ -127,7 +116,6 @@ impl XgbDowngrade {
             cfg,
             predictor: AccessPredictor::new(DOWNGRADE_WINDOW, learner),
             rng: DetRng::seed_from_u64(seed),
-            cursor: None,
         }
     }
 
@@ -151,56 +139,6 @@ impl DowngradePolicy for XgbDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        // The per-tier recency index already yields LRU order: the first k
-        // movable entries of the range walk, no collect-and-sort. An empty
-        // `skip` marks a fresh Algorithm 1 run and resets the cursor.
-        if skip.is_empty() {
-            self.cursor = None;
-        }
-        let mut candidates: Vec<FileId> = Vec::new();
-        let mut saw_eligible = false;
-        for (t, f) in dfs.tier_recency_iter_after(tier, self.cursor) {
-            if skip.contains(&f) || !dfs.is_movable(f) {
-                if !saw_eligible {
-                    // Ineligible for the rest of this run with nothing
-                    // eligible before it: future walks hop it.
-                    self.cursor = Some((t, f));
-                }
-                continue;
-            }
-            saw_eligible = true;
-            candidates.push(f);
-            if candidates.len() == self.cfg.xgb_candidates {
-                break;
-            }
-        }
-        if candidates.is_empty() {
-            return None;
-        }
-        // Lowest probability of access within the (large) window; falls
-        // back to plain LRU while the model warms up.
-        candidates.iter().copied().min_by(|a, b| {
-            let pa = dfs
-                .file_stats(*a)
-                .and_then(|s| self.predictor.predict(s, now))
-                .unwrap_or(0.0);
-            let pb = dfs
-                .file_stats(*b)
-                .and_then(|s| self.predictor.predict(s, now))
-                .unwrap_or(0.0);
-            pa.total_cmp(&pb)
-                .then_with(|| last_used(dfs, *a).cmp(&last_used(dfs, *b)))
-                .then(a.cmp(b))
-        })
-    }
-
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
@@ -211,10 +149,10 @@ impl DowngradePolicy for XgbDowngrade {
         dfs: &TieredDfs,
         tier: StorageTier,
         now: SimTime,
-    ) -> Option<Vec<PhasePlan>> {
-        // Stream order is the LRU walk; the k = 200 window over the merged
-        // stream reproduces the serial "first k eligible remaining"
-        // candidate pool exactly.
+    ) -> Vec<PhasePlan> {
+        // Stream order is the LRU walk, so the k = 200 window over the
+        // merged stream holds the first k eligible LRU files not yet
+        // chosen: the paper's candidate pool.
         let budget = shard_budget(
             victim_hint(dfs, tier, self.cfg.stop_threshold),
             self.cfg.xgb_candidates,
@@ -223,10 +161,10 @@ impl DowngradePolicy for XgbDowngrade {
         let shards = pool.scan_shards(dfs, |v| {
             xgb_scan_shard(predictor, v.dfs(), v.shard(), tier, now, None, budget)
         });
-        Some(vec![PhasePlan {
+        vec![PhasePlan {
             window: self.cfg.xgb_candidates,
             shards,
-        }])
+        }]
     }
 
     fn rescan_shard(

@@ -8,7 +8,6 @@ use octo_policies::{
     downgrade_policy, effective_utilization, upgrade_policy, DowngradePolicy, TieringConfig,
     TieringEngine,
 };
-use std::collections::BTreeSet;
 
 const MEM: StorageTier = StorageTier::Memory;
 
@@ -45,6 +44,30 @@ fn mk_down(name: &str) -> Box<dyn DowngradePolicy> {
     .unwrap()
 }
 
+/// An engine running `name` with thresholds that start a run on any
+/// non-empty memory tier and stop it after the first move: each run plans
+/// exactly the policy's first pick.
+fn first_pick_engine(name: &str) -> TieringEngine {
+    let cfg = TieringConfig {
+        start_threshold: 0.0,
+        stop_threshold: 1.0,
+        ..TieringConfig::default()
+    };
+    let policy = downgrade_policy(name, &cfg, &LearnerConfig::default(), 7);
+    TieringEngine::new(Some(policy.expect("registered policy")), None)
+}
+
+/// One Algorithm 1 run through `engine`: the victim it planned. The move
+/// is cancelled again, so probes can repeat on the same state.
+fn first_pick(engine: &mut TieringEngine, dfs: &mut TieredDfs, now: SimTime) -> FileId {
+    let planned = engine.run_downgrade(dfs, MEM, now);
+    assert_eq!(planned.len(), 1, "the thresholds plan exactly one victim");
+    let file = dfs.transfer(planned[0]).expect("in flight").file;
+    dfs.cancel_transfer(planned[0])
+        .expect("planned in this run");
+    file
+}
+
 /// Creates three files and touches them so that recency and frequency
 /// disagree: `a` old but frequent, `b` recent but rare, `c` old and rare.
 fn recency_frequency_setup(dfs: &mut TieredDfs) -> (FileId, FileId, FileId) {
@@ -62,44 +85,44 @@ fn recency_frequency_setup(dfs: &mut TieredDfs) -> (FileId, FileId, FileId) {
 #[test]
 fn lru_picks_least_recently_used() {
     let mut dfs = small_dfs();
-    let (a, _b, c) = recency_frequency_setup(&mut dfs);
-    let mut p = mk_down("lru");
-    let now = SimTime::from_secs(6000);
-    let pick = p.select_file(&dfs, MEM, now, &BTreeSet::new()).unwrap();
+    let (a, _b, _c) = recency_frequency_setup(&mut dfs);
+    let pick = first_pick(
+        &mut first_pick_engine("lru"),
+        &mut dfs,
+        SimTime::from_secs(6000),
+    );
     assert_eq!(pick, a, "a's last access (t=40) is oldest");
-    let _ = c;
 }
 
 #[test]
 fn lfu_picks_least_frequently_used() {
     let mut dfs = small_dfs();
-    let (_a, b, c) = recency_frequency_setup(&mut dfs);
-    let mut p = mk_down("lfu");
-    let now = SimTime::from_secs(6000);
-    let pick = p.select_file(&dfs, MEM, now, &BTreeSet::new()).unwrap();
+    let (_a, _b, c) = recency_frequency_setup(&mut dfs);
+    let pick = first_pick(
+        &mut first_pick_engine("lfu"),
+        &mut dfs,
+        SimTime::from_secs(6000),
+    );
     // b and c both have 1 access; tie broken by recency (older first) -> c.
     assert_eq!(pick, c);
-    let _ = b;
 }
 
 #[test]
 fn lrfu_balances_recency_and_frequency() {
     let mut dfs = small_dfs();
-    let mut p = mk_down("lrfu");
+    let mut engine = first_pick_engine("lrfu");
     let a = put(&mut dfs, "a", 100, SimTime::ZERO);
     let b = put(&mut dfs, "b", 100, SimTime::ZERO);
-    p.on_file_created(&dfs, a, SimTime::ZERO);
-    p.on_file_created(&dfs, b, SimTime::ZERO);
+    engine.notify_created(&dfs, a, SimTime::ZERO);
+    engine.notify_created(&dfs, b, SimTime::ZERO);
     // a: 5 accesses in quick succession recently; b: 1 access slightly later.
     for s in [100u64, 110, 120, 130, 140] {
         dfs.record_access(a, SimTime::from_secs(s)).unwrap();
-        p.on_file_accessed(&dfs, a, SimTime::from_secs(s));
+        engine.notify_accessed(&dfs, a, SimTime::from_secs(s));
     }
     dfs.record_access(b, SimTime::from_secs(200)).unwrap();
-    p.on_file_accessed(&dfs, b, SimTime::from_secs(200));
-    let pick = p
-        .select_file(&dfs, MEM, SimTime::from_secs(300), &BTreeSet::new())
-        .unwrap();
+    engine.notify_accessed(&dfs, b, SimTime::from_secs(200));
+    let pick = first_pick(&mut engine, &mut dfs, SimTime::from_secs(300));
     assert_eq!(
         pick, b,
         "burst-accessed file outweighs a single later access"
@@ -109,12 +132,14 @@ fn lrfu_balances_recency_and_frequency() {
 #[test]
 fn life_evicts_largest_new_file_when_no_old_ones() {
     let mut dfs = small_dfs();
-    let mut p = mk_down("life");
-    let now = SimTime::from_secs(100);
     let _small = put(&mut dfs, "small", 10, SimTime::ZERO);
     let big = put(&mut dfs, "big", 300, SimTime::ZERO);
     // Both recently used (within the 9h window).
-    let pick = p.select_file(&dfs, MEM, now, &BTreeSet::new()).unwrap();
+    let pick = first_pick(
+        &mut first_pick_engine("life"),
+        &mut dfs,
+        SimTime::from_secs(100),
+    );
     assert_eq!(pick, big);
 }
 
@@ -132,8 +157,7 @@ fn life_and_lfuf_prefer_files_outside_window() {
     }
     let now = late + SimDuration::from_mins(5);
     for name in ["life", "lfu-f"] {
-        let mut p = mk_down(name);
-        let pick = p.select_file(&dfs, MEM, now, &BTreeSet::new()).unwrap();
+        let pick = first_pick(&mut first_pick_engine(name), &mut dfs, now);
         assert_eq!(pick, old, "{name} must evict from P_old first");
     }
 }
@@ -142,10 +166,11 @@ fn life_and_lfuf_prefer_files_outside_window() {
 fn xgb_downgrade_falls_back_to_lru_before_activation() {
     let mut dfs = small_dfs();
     let (a, _b, _c) = recency_frequency_setup(&mut dfs);
-    let mut p = mk_down("xgb");
-    let pick = p
-        .select_file(&dfs, MEM, SimTime::from_secs(6000), &BTreeSet::new())
-        .unwrap();
+    let pick = first_pick(
+        &mut first_pick_engine("xgb"),
+        &mut dfs,
+        SimTime::from_secs(6000),
+    );
     assert_eq!(pick, a, "inactive model means LRU ordering");
 }
 

@@ -3,9 +3,10 @@
 //!
 //! The incremental tier accounting / recency-index refactor must keep the
 //! decision path bit-identical: same victims, in the same order, with the
-//! same deterministic `FileId` tie-breaks. These sequences were captured
-//! from the original full-scan implementation; any divergence means the
-//! index-based selection no longer matches the scan semantics.
+//! same deterministic `FileId` tie-breaks, at every epoch-pool width.
+//! These sequences were captured from the original full-scan
+//! implementation; any divergence means the index-based selection no
+//! longer matches the scan semantics.
 
 use octo_access::LearnerConfig;
 use octo_common::{ByteSize, FileId, PerTier, SimTime, StorageTier};
@@ -56,9 +57,8 @@ fn fill_scrambled(dfs: &mut TieredDfs, engine: &mut TieringEngine) -> Vec<FileId
 }
 
 /// Runs one full downgrade invocation through the given pool and returns
-/// the victims in order. The serial pool takes the untouched `run_downgrade`
-/// path; parallel pools exercise the split scan-merge-commit engine.
-fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
+/// the victims in order.
+fn victim_sequence(policy: &str, pool: &EpochPool) -> Vec<u64> {
     let mut dfs = small_dfs();
     // Aggressive thresholds so one invocation schedules a long sequence.
     let cfg = TieringConfig {
@@ -79,11 +79,6 @@ fn victim_sequence_pooled(policy: &str, pool: &EpochPool) -> Vec<u64> {
         .iter()
         .map(|id| dfs.transfer(*id).expect("in flight").file.raw())
         .collect()
-}
-
-/// Runs one full downgrade invocation and returns the victims in order.
-fn victim_sequence(policy: &str) -> Vec<u64> {
-    victim_sequence_pooled(policy, &EpochPool::serial())
 }
 
 #[test]
@@ -142,40 +137,19 @@ fn victim_sequences_are_pinned_per_policy() {
             &[0, 15, 3, 18, 6, 21, 9, 12, 22, 10, 13, 1, 16, 4, 19, 7],
         ),
     ];
-    let got: Vec<(&str, Vec<u64>)> = expected
-        .iter()
-        .map(|(policy, _)| (*policy, victim_sequence(policy)))
-        .collect();
     let want: Vec<(&str, Vec<u64>)> = expected
         .iter()
         .map(|(policy, seq)| (*policy, seq.to_vec()))
         .collect();
-    assert_eq!(
-        got, want,
-        "victim orders diverged from the pinned scan-era sequences"
-    );
-}
-
-#[test]
-fn pooled_victim_sequences_match_serial_at_every_thread_count() {
-    for policy in [
-        "lru",
-        "lfu",
-        "lrfu",
-        "life",
-        "lfu-f",
-        "exd",
-        "xgb",
-        "watermark",
-        "hybrid",
-    ] {
-        let serial = victim_sequence(policy);
-        for threads in [2usize, 4, 16] {
-            let pooled = victim_sequence_pooled(policy, &EpochPool::new(threads));
-            assert_eq!(
-                pooled, serial,
-                "{policy}: split engine diverged from serial at {threads} threads"
-            );
-        }
+    for threads in [1usize, 2, 4, 16] {
+        let pool = EpochPool::new(threads);
+        let got: Vec<(&str, Vec<u64>)> = expected
+            .iter()
+            .map(|(policy, _)| (*policy, victim_sequence(policy, &pool)))
+            .collect();
+        assert_eq!(
+            got, want,
+            "victim orders diverged from the pinned scan-era sequences at {threads} threads"
+        );
     }
 }

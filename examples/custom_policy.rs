@@ -4,13 +4,12 @@
 //! Run with: `cargo run --release --example custom_policy`
 
 use octopuspp::cluster::{run_trace, Scenario, SimConfig};
-use octopuspp::common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
-use octopuspp::dfs::TieredDfs;
+use octopuspp::common::{ByteSize, SimDuration, SimTime, StorageTier};
+use octopuspp::dfs::{EpochPool, TieredDfs};
 use octopuspp::policies::{
-    downgrade_candidates, effective_utilization, DowngradePolicy, TieringConfig,
+    effective_utilization, exhaustive_phase, Candidate, DowngradePolicy, PhasePlan, TieringConfig,
 };
 use octopuspp::workload::{generate, WorkloadConfig};
-use std::collections::BTreeSet;
 
 /// Evict the largest file first (SIZE policy from web caching).
 struct SizeDowngrade {
@@ -26,16 +25,20 @@ impl DowngradePolicy for SizeDowngrade {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
 
-    fn select_file(
-        &mut self,
+    fn scan_phases(
+        &self,
+        pool: &EpochPool,
         dfs: &TieredDfs,
         tier: StorageTier,
         _now: SimTime,
-        skip: &BTreeSet<FileId>,
-    ) -> Option<FileId> {
-        downgrade_candidates(dfs, tier, skip)
-            .into_iter()
-            .max_by_key(|f| dfs.file_meta(*f).map_or(ByteSize::ZERO, |m| m.size))
+    ) -> Vec<PhasePlan> {
+        // The victim order as an ascending key: complemented size puts the
+        // largest file first; the complemented id breaks ties toward the
+        // newest file.
+        vec![exhaustive_phase(pool, dfs, tier, 1, |dfs, f| {
+            let size = dfs.file_meta(f).map_or(ByteSize::ZERO, |m| m.size);
+            Some(Candidate::keyed([!size.as_bytes(), !f.raw(), 0], f))
+        })]
     }
 
     fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
