@@ -49,7 +49,7 @@ fn overheads(c: &mut Criterion) {
     c.bench_function("train_continuation_2000_samples", |b| {
         b.iter(|| {
             let mut m = model.clone();
-            m.train_continuation(&data, 1);
+            m.train_continuation(&data, params.rounds);
             m
         })
     });

@@ -7,10 +7,14 @@
 //! boosted with `r` new trees from its current margins (training
 //! continuation). Alternative modes reproduce the paper's baselines:
 //! periodic full retraining, and a one-shot learner that never refreshes.
+//!
+//! Model and buffer live in one [`IncrementalBooster`]. Each buffered point
+//! caches the sum of the current trees' outputs on it, computed once when
+//! the point is scored, so a refresh costs only its new trees.
 
 use crate::features::FeatureConfig;
 use octo_common::{SimDuration, SimTime};
-use octo_gbt::{Dataset, Gbt, GbtParams};
+use octo_gbt::{Gbt, GbtParams, IncrementalBooster};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
@@ -47,8 +51,8 @@ pub struct LearnerConfig {
     /// The model starts serving predictions once its prequential error
     /// drops below this (paper §4.4, e.g. 0.01–0.05).
     pub activation_error: f64,
-    /// Hard cap on ensemble size; exceeding it triggers compaction
-    /// (retraining from scratch on the buffer).
+    /// Hard cap on ensemble size; a refresh that would exceed it compacts
+    /// instead (retrains from scratch on the buffer).
     pub max_trees: usize,
 }
 
@@ -72,8 +76,7 @@ impl Default for LearnerConfig {
 #[derive(Debug, Clone)]
 pub struct IncrementalLearner {
     cfg: LearnerConfig,
-    model: Option<Gbt>,
-    buffer: Dataset,
+    booster: IncrementalBooster,
     recent_correct: VecDeque<bool>,
     activated: bool,
     last_refresh: Option<SimTime>,
@@ -84,11 +87,10 @@ pub struct IncrementalLearner {
 impl IncrementalLearner {
     /// A fresh learner with no model.
     pub fn new(cfg: LearnerConfig) -> Self {
-        let width = cfg.features.n_features();
+        let booster = IncrementalBooster::new(cfg.features.n_features(), cfg.buffer_max);
         IncrementalLearner {
             cfg,
-            model: None,
-            buffer: Dataset::new(width),
+            booster,
             recent_correct: VecDeque::new(),
             activated: false,
             last_refresh: None,
@@ -106,8 +108,11 @@ impl IncrementalLearner {
     /// buffers it for training and refreshes the model if due.
     pub fn observe(&mut self, features: &[f32], label: bool, now: SimTime) {
         self.points_seen += 1;
-        if let Some(model) = &self.model {
-            let correct = (model.predict_proba(features) >= 0.5) == label;
+        if let Some(p) = self
+            .booster
+            .observe(features, if label { 1.0 } else { 0.0 })
+        {
+            let correct = (p >= 0.5) == label;
             if self.recent_correct.len() == self.cfg.eval_window {
                 self.recent_correct.pop_front();
             }
@@ -119,14 +124,11 @@ impl IncrementalLearner {
                 self.activated = true;
             }
         }
-        self.buffer
-            .push_row(features, if label { 1.0 } else { 0.0 });
-        self.buffer.truncate_front(self.cfg.buffer_max);
         self.maybe_refresh(now);
     }
 
     fn maybe_refresh(&mut self, now: SimTime) {
-        if self.buffer.n_rows() < self.cfg.min_points {
+        if self.booster.len() < self.cfg.min_points {
             return;
         }
         let due = match self.last_refresh {
@@ -140,21 +142,20 @@ impl IncrementalLearner {
 
     /// Forces a model update at `now` according to the learning mode.
     pub fn refresh(&mut self, now: SimTime) {
-        if self.buffer.is_empty() {
+        if self.booster.is_empty() {
             return;
         }
-        match (self.cfg.mode, self.model.as_mut()) {
+        let rounds = self.cfg.gbt.rounds;
+        match (self.cfg.mode, self.booster.model()) {
             (LearningMode::OneShot, Some(_)) => return, // never updates again
-            (LearningMode::Incremental, Some(model)) => {
-                model.train_continuation(&self.buffer, self.cfg.gbt.rounds);
-                if model.n_trees() > self.cfg.max_trees {
-                    // Compact: retrain from scratch on the retained buffer.
-                    *model = Gbt::train(&self.buffer, &self.cfg.gbt);
-                }
+            (LearningMode::Incremental, Some(model))
+                if model.n_trees() + rounds <= self.cfg.max_trees =>
+            {
+                self.booster.boost(rounds);
             }
-            (LearningMode::Retrain, Some(_)) | (_, None) => {
-                self.model = Some(Gbt::train(&self.buffer, &self.cfg.gbt));
-            }
+            // A continuation past `max_trees` would be discarded, so compact
+            // at once: retrain from scratch on the retained buffer.
+            _ => self.booster.fit(&self.cfg.gbt),
         }
         self.trainings += 1;
         self.last_refresh = Some(now);
@@ -167,13 +168,13 @@ impl IncrementalLearner {
         if !self.activated {
             return None;
         }
-        self.model.as_ref().map(|m| m.predict_proba(features))
+        self.model().map(|m| m.predict_proba(features))
     }
 
     /// P(positive) regardless of the activation gate (used by offline
     /// evaluation such as the ROC experiments).
     pub fn predict_raw(&self, features: &[f32]) -> Option<f64> {
-        self.model.as_ref().map(|m| m.predict_proba(features))
+        self.model().map(|m| m.predict_proba(features))
     }
 
     /// Accuracy over the sliding prequential window (`None` until the model
@@ -198,14 +199,14 @@ impl IncrementalLearner {
     /// Forces the activation gate open (used by experiments that evaluate
     /// the raw model without the warm-up protocol).
     pub fn force_activate(&mut self) {
-        if self.model.is_some() {
+        if self.booster.model().is_some() {
             self.activated = true;
         }
     }
 
     /// The underlying model, if trained.
     pub fn model(&self) -> Option<&Gbt> {
-        self.model.as_ref()
+        self.booster.model()
     }
 
     /// Observation count.
@@ -237,8 +238,11 @@ mod tests {
 
     fn quick_cfg(mode: LearningMode) -> LearnerConfig {
         LearnerConfig {
+            // Recency plus the two creation deltas: 3 columns, the width of
+            // the synthetic stream (the learner never extracts features).
             features: FeatureConfig {
-                k: 3, // 2 consecutive slots + recency + size + 2 creation = 3 wide? unused here
+                k: 1,
+                use_size: false,
                 ..FeatureConfig::default()
             },
             gbt: GbtParams {
@@ -256,12 +260,8 @@ mod tests {
         }
     }
 
-    /// Builds a learner whose feature width is overridden to 3 for the
-    /// synthetic stream.
     fn learner(mode: LearningMode) -> IncrementalLearner {
-        let mut l = IncrementalLearner::new(quick_cfg(mode));
-        l.buffer = Dataset::new(3);
-        l
+        IncrementalLearner::new(quick_cfg(mode))
     }
 
     #[test]
@@ -324,16 +324,24 @@ mod tests {
 
     #[test]
     fn tree_cap_triggers_compaction() {
+        // Five trees per refresh under a cap of 40: the ensemble grows to
+        // exactly 40, and the refresh a continuation would take past the
+        // cap retrains to 5 instead.
         let mut l = learner(LearningMode::Incremental);
+        let mut sizes = Vec::new();
         for i in 0..2000 {
             let (x, y) = stream_point(i);
+            let trainings = l.trainings();
             l.observe(&x, y, SimTime::from_secs(i * 10));
+            if l.trainings() > trainings {
+                sizes.push(l.model().unwrap().n_trees());
+            }
         }
-        assert!(
-            l.model().unwrap().n_trees() <= 45,
-            "ensemble bounded: {}",
-            l.model().unwrap().n_trees()
-        );
+        let cycle: Vec<usize> = (1..=8).map(|k| 5 * k).collect();
+        assert!(sizes.len() > 2 * cycle.len(), "{} refreshes", sizes.len());
+        for (k, &n) in sizes.iter().enumerate() {
+            assert_eq!(n, cycle[k % cycle.len()], "ensemble sizes {sizes:?}");
+        }
     }
 
     #[test]

@@ -115,14 +115,6 @@ impl JobResult {
             .sum::<f64>()
             + self.output_write_secs
     }
-
-    /// Fraction of tasks served from the memory tier.
-    pub fn memory_served_tasks(&self) -> usize {
-        self.tasks
-            .iter()
-            .filter(|t| t.read_tier == StorageTier::Memory)
-            .count()
-    }
 }
 
 /// A complete simulation outcome for one scenario × workload.

@@ -106,11 +106,6 @@ impl SimDuration {
         self.0 as f64 / 1000.0
     }
 
-    /// Minutes as a float (the paper reports several quantities in minutes).
-    pub fn as_mins_f64(self) -> f64 {
-        self.0 as f64 / 60_000.0
-    }
-
     /// True if this span is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0

@@ -135,12 +135,6 @@ impl SimBackend {
         &self.dfs
     }
 
-    /// Mutable access to the wrapped DFS (for driving the simulation
-    /// between planning cycles).
-    pub fn dfs_mut(&mut self) -> &mut TieredDfs {
-        &mut self.dfs
-    }
-
     /// Unwraps the DFS.
     pub fn into_inner(self) -> TieredDfs {
         self.dfs

@@ -646,11 +646,6 @@ impl BlockManager {
         self.degraded_total
     }
 
-    /// The configured live-replica target (0 = tracking disabled).
-    pub fn replication_target(&self) -> u32 {
-        self.target
-    }
-
     /// Deletes a block entirely, returning the replicas whose space must be
     /// freed.
     pub fn delete_block(&mut self, block: BlockId) -> Vec<Replica> {

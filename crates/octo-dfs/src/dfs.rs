@@ -1169,11 +1169,6 @@ impl TieredDfs {
         debt
     }
 
-    /// True while `node` is up.
-    pub fn node_is_alive(&self, node: NodeId) -> bool {
-        self.nodes.is_alive(node)
-    }
-
     // ------------------------------------------------------------------
     // Introspection
     // ------------------------------------------------------------------

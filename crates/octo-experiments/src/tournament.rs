@@ -20,7 +20,6 @@
 use crate::matrix::{run_matrix, FaultPlan, MatrixReport, MatrixSpec, MatrixWorkload};
 use crate::settings::ExpSettings;
 use octo_cluster::Scenario;
-use octo_common::ByteSize;
 use octo_metrics::{human_bytes, render_markdown_table};
 use octo_workload::{
     synthesize, synthesize_mix, CompileConfig, FaultConfig, FaultSchedule, MixConfig, SynthConfig,
@@ -247,18 +246,6 @@ impl TournamentReport {
                 || c.summary.byte_hit_ratio > lru.summary.byte_hit_ratio
                 || c.summary.bytes_moved < lru.summary.bytes_moved
         })
-    }
-
-    /// Total repair debt across all faulted cells (reported next to the
-    /// leaderboard as a sanity line).
-    pub fn total_repair_debt(&self) -> ByteSize {
-        ByteSize::from_bytes(
-            self.matrix
-                .cells
-                .iter()
-                .map(|c| c.summary.repair_debt_bytes)
-                .sum(),
-        )
     }
 }
 

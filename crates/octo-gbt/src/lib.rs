@@ -16,7 +16,9 @@
 //! * **Training continuation** — [`Gbt::train_continuation`] boosts
 //!   additional rounds starting from the current model's margins, which is
 //!   how the paper's *incremental learning* refreshes models with new file
-//!   accesses without retraining from scratch.
+//!   accesses without retraining from scratch. [`IncrementalBooster`] does
+//!   it over a sliding window whose rows cache their sums of tree outputs,
+//!   so a refresh costs only its new trees.
 //!
 //! The implementation is deterministic: identical data and parameters yield
 //! an identical model, bit for bit.
@@ -45,10 +47,12 @@ pub mod booster;
 pub mod dataset;
 pub mod objective;
 pub mod params;
+#[cfg(test)]
+mod reference;
 pub mod trainer;
 pub mod tree;
 
-pub use booster::Gbt;
+pub use booster::{Gbt, IncrementalBooster};
 pub use dataset::Dataset;
 pub use objective::{accuracy, logloss, sigmoid};
 pub use params::GbtParams;

@@ -22,7 +22,7 @@ use crate::parallel::{encode_f64, shard_budget, victim_hint, Candidate, PhasePla
 use octo_access::{AccessPredictor, LearnerConfig};
 use octo_common::{ByteSize, DetRng, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::TieredDfs;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
 /// Windows for the two models (paper §4.4).
 pub const DOWNGRADE_WINDOW: SimDuration = SimDuration::from_hours(6);
@@ -201,6 +201,11 @@ pub struct XgbUpgrade {
     cfg: TieringConfig,
     predictor: AccessPredictor,
     rng: DetRng,
+    /// Each candidate's prediction in the current Algorithm 2 run. The
+    /// model, the statistics and `now` stay fixed within a run, so a file
+    /// is scored once however many picks it competes in. Cleared when a
+    /// run starts.
+    run_scores: HashMap<FileId, Option<f64>>,
 }
 
 impl XgbUpgrade {
@@ -210,6 +215,7 @@ impl XgbUpgrade {
             cfg,
             predictor: AccessPredictor::new(UPGRADE_WINDOW, learner),
             rng: DetRng::seed_from_u64(seed),
+            run_scores: HashMap::new(),
         }
     }
 
@@ -247,6 +253,7 @@ impl UpgradePolicy for XgbUpgrade {
     }
 
     fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, _now: SimTime) -> bool {
+        self.run_scores.clear();
         if self.predictor.learner().is_active() {
             true // the inner loop scans candidates either way
         } else {
@@ -279,12 +286,16 @@ impl UpgradePolicy for XgbUpgrade {
             });
         }
         // Highest-probability candidate above the discrimination threshold.
+        // The MRU window is walked again for every pick, so it slides past
+        // the files already chosen; only the scores are remembered.
         let mut best: Option<(FileId, f64)> = None;
         for f in self.mru_candidates(dfs, already) {
-            let Some(p) = dfs
-                .file_stats(f)
-                .and_then(|s| self.predictor.predict(s, now))
-            else {
+            let predictor = &self.predictor;
+            let score = *self
+                .run_scores
+                .entry(f)
+                .or_insert_with(|| dfs.file_stats(f).and_then(|s| predictor.predict(s, now)));
+            let Some(p) = score else {
                 continue;
             };
             if p <= self.cfg.xgb_threshold {

@@ -13,14 +13,19 @@
 //!
 //! The hybrid pin covers the other model-ranked window: watermark order
 //! picks the candidates, the live predictor picks the victim among them.
+//!
+//! The upgrade pin covers Algorithm 2 with the model serving: each run
+//! scores the MRU candidate window once per pick, so it pins the planned
+//! files of several runs, with model refreshes between them, plus the
+//! prediction bits the first run starts from.
 
 use octo_access::LearnerConfig;
-use octo_common::{ByteSize, FileId, PerTier, SimTime, StorageTier};
-use octo_dfs::{DfsConfig, EpochPool, TieredDfs};
+use octo_common::{ByteSize, FileId, PerTier, SimDuration, SimTime, StorageTier};
+use octo_dfs::{DfsConfig, DowngradeTarget, EpochPool, TieredDfs};
 use octo_gbt::GbtParams;
 use octo_policies::{
-    DowngradePolicy, HybridDowngrade, TieringConfig, TieringEngine, WatermarkDowngrade,
-    XgbDowngrade,
+    DowngradePolicy, HybridDowngrade, OsaUpgrade, TieringConfig, TieringEngine, UpgradePolicy,
+    WatermarkDowngrade, XgbDowngrade, XgbUpgrade,
 };
 use std::fmt::Write as _;
 
@@ -75,6 +80,45 @@ fn overfull_cfg() -> TieringConfig {
 /// When the pinned downgrade invocation runs.
 const NOW: SimTime = SimTime::from_secs(24_500);
 
+/// The lifecycle callbacks `populate` drives. Downgrade and upgrade
+/// policies declare the same four under different traits.
+trait Lifecycle {
+    fn created(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime);
+    fn deleted(&mut self, file: FileId, now: SimTime);
+    fn accessed(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime);
+    fn tick(&mut self, dfs: &TieredDfs, now: SimTime);
+}
+
+impl Lifecycle for dyn DowngradePolicy {
+    fn created(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
+        self.on_file_created(dfs, file, now);
+    }
+    fn deleted(&mut self, file: FileId, now: SimTime) {
+        self.on_file_deleted(file, now);
+    }
+    fn accessed(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
+        self.on_file_accessed(dfs, file, now);
+    }
+    fn tick(&mut self, dfs: &TieredDfs, now: SimTime) {
+        self.on_tick(dfs, now);
+    }
+}
+
+impl Lifecycle for dyn UpgradePolicy {
+    fn created(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
+        self.on_file_created(dfs, file, now);
+    }
+    fn deleted(&mut self, file: FileId, now: SimTime) {
+        self.on_file_deleted(file, now);
+    }
+    fn accessed(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
+        self.on_file_accessed(dfs, file, now);
+    }
+    fn tick(&mut self, dfs: &TieredDfs, now: SimTime) {
+        self.on_tick(dfs, now);
+    }
+}
+
 /// Fills `dfs` and feeds `policy` the lifecycle events, returning the live
 /// files ascending by id.
 ///
@@ -85,7 +129,7 @@ const NOW: SimTime = SimTime::from_secs(24_500);
 /// late so the tick windows see both labels, then three monitor ticks,
 /// each drawing `sample_files_per_tick` ranks from the committed set and
 /// training on the outcome.
-fn populate(dfs: &mut TieredDfs, policy: &mut dyn DowngradePolicy) -> Vec<FileId> {
+fn populate(dfs: &mut TieredDfs, policy: &mut (impl Lifecycle + ?Sized)) -> Vec<FileId> {
     let mut files = Vec::new();
     for i in 0..36u64 {
         let now = SimTime::from_secs(i);
@@ -93,12 +137,12 @@ fn populate(dfs: &mut TieredDfs, policy: &mut dyn DowngradePolicy) -> Vec<FileId
             .create_file(&format!("/t/f{i}"), ByteSize::mb(90), now)
             .unwrap();
         dfs.commit_file(plan.file, now).unwrap();
-        policy.on_file_created(dfs, plan.file, now);
+        policy.created(dfs, plan.file, now);
         files.push(plan.file);
     }
     for i in [4u64, 9, 14, 19, 24, 29] {
         dfs.delete_file(FileId(i)).unwrap();
-        policy.on_file_deleted(FileId(i), SimTime::from_secs(36));
+        policy.deleted(FileId(i), SimTime::from_secs(36));
     }
     files.retain(|f| dfs.file_meta(*f).is_some());
     for &f in &files {
@@ -106,18 +150,18 @@ fn populate(dfs: &mut TieredDfs, policy: &mut dyn DowngradePolicy) -> Vec<FileId
         for r in 0..(i * 7) % 3 + 1 {
             let t = SimTime::from_secs(1_000 + ((i * 37 + r * 211) % 500) as u64);
             dfs.record_access(f, t).unwrap();
-            policy.on_file_accessed(dfs, f, t);
+            policy.accessed(dfs, f, t);
         }
     }
     for &f in &files {
         if f.raw() % 5 == 0 {
             let t = SimTime::from_secs(23_400);
             dfs.record_access(f, t).unwrap();
-            policy.on_file_accessed(dfs, f, t);
+            policy.accessed(dfs, f, t);
         }
     }
     for t in [22_000u64, 23_000, 24_000] {
-        policy.on_tick(dfs, SimTime::from_secs(t));
+        policy.tick(dfs, SimTime::from_secs(t));
     }
     files
 }
@@ -137,7 +181,7 @@ fn victims(dfs: &mut TieredDfs, policy: Box<dyn DowngradePolicy>, pool: &EpochPo
 fn xgb_tick_sampling_and_victims_are_pinned() {
     let mut dfs = small_dfs();
     let mut policy = XgbDowngrade::new(overfull_cfg(), quick_learner(), 7);
-    let files = populate(&mut dfs, &mut policy);
+    let files = populate(&mut dfs, &mut policy as &mut dyn DowngradePolicy);
     // Open the activation gate (the warm-up protocol needs a longer run):
     // what matters here is that victim selection consults the model the
     // sampled points trained.
@@ -200,4 +244,94 @@ fn hybrid_active_model_victims_are_pinned_at_every_width() {
             "hybrid victims diverged at {threads} threads"
         );
     }
+}
+
+/// Moves every even-numbered file from memory to SSD, so Algorithm 2 has
+/// both candidates and free memory to upgrade them into.
+fn free_memory(dfs: &mut TieredDfs, files: &[FileId]) {
+    for &f in files.iter().filter(|f| f.raw() % 2 == 0) {
+        if dfs.file_fully_on_tier(f, MEM) {
+            let id = dfs
+                .plan_downgrade(f, MEM, DowngradeTarget::Tier(StorageTier::Ssd))
+                .unwrap();
+            dfs.complete_transfer(id).unwrap();
+        }
+    }
+}
+
+/// Three Algorithm 2 runs through the engine, at `NOW`, an hour later and
+/// six hours later, each one after the files `touch` names were read again
+/// (so the model refreshes between runs): the planned files of every run,
+/// in order. By the last run every file scores differently than in the
+/// first, so a score kept from an earlier run would change its picks.
+fn upgrade_runs(
+    dfs: &mut TieredDfs,
+    policy: Box<dyn UpgradePolicy>,
+    touch: &[[u64; 2]; 3],
+) -> Vec<Vec<u64>> {
+    let mut engine = TieringEngine::new(None, Some(policy));
+    let mut runs = Vec::new();
+    for (k, pair) in touch.iter().enumerate() {
+        let now = NOW + SimDuration::from_mins([0, 60, 360][k]);
+        for &raw in pair {
+            dfs.record_access(FileId(raw), now).unwrap();
+            engine.notify_accessed(dfs, FileId(raw), now);
+        }
+        let planned = engine.run_upgrade(dfs, Some(FileId(pair[0])), now);
+        runs.push(
+            planned
+                .iter()
+                .map(|id| dfs.transfer(*id).expect("in flight").file.raw())
+                .collect(),
+        );
+    }
+    runs
+}
+
+#[test]
+fn xgb_upgrade_active_model_picks_are_pinned() {
+    let touch = [[31u64, 2], [17, 33], [8, 26]];
+    let mut dfs = small_dfs();
+    // A 400 MB batch limit spreads the picks over all three runs.
+    let cfg = TieringConfig {
+        xgb_upgrade_limit: ByteSize::mb(400),
+        ..TieringConfig::default()
+    };
+    let mut policy = XgbUpgrade::new(cfg, quick_learner(), 7);
+    let files = populate(&mut dfs, &mut policy as &mut dyn UpgradePolicy);
+    free_memory(&mut dfs, &files);
+    policy.predictor_mut().learner_mut().force_activate();
+    assert!(
+        policy.predictor().learner().is_active(),
+        "the sampled ticks must have trained a model"
+    );
+    let mut predictions = String::new();
+    for &f in &files {
+        let p = dfs
+            .file_stats(f)
+            .and_then(|s| policy.predictor().predict_raw(s, NOW))
+            .expect("live committed files predict");
+        writeln!(predictions, "f{}={:016x}", f.raw(), p.to_bits()).unwrap();
+    }
+    let runs = upgrade_runs(&mut dfs, Box::new(policy), &touch);
+
+    // The vacuity guard: on-access upgrades plan exactly the files just
+    // read, so a pin equal to OSA's would not cover the model.
+    let mut osa_dfs = small_dfs();
+    let osa_files = populate(&mut osa_dfs, &mut OsaUpgrade as &mut dyn UpgradePolicy);
+    free_memory(&mut osa_dfs, &osa_files);
+    let osa_runs = upgrade_runs(&mut osa_dfs, Box::new(OsaUpgrade), &touch);
+
+    let pinned: &[&[u64]] = &[
+        &[12, 26, 34, 6, 33],
+        &[8, 18, 16, 28, 32],
+        &[10, 35, 20, 0, 30],
+    ];
+    assert_eq!(runs, pinned, "XGB upgrade picks diverged");
+    assert_ne!(runs, osa_runs, "the serving model must pick beyond OSA");
+    assert_eq!(
+        fnv1a(predictions.as_bytes()),
+        11_323_033_784_145_035_932,
+        "upgrade model prediction bits diverged"
+    );
 }
