@@ -1,6 +1,11 @@
 //! [`StorageBackend`] over real local directories.
+//!
+//! Listings walk the tier roots; access statistics come from memory, where
+//! `FsBackend::open` loaded the snapshot and replayed the access log (see
+//! `log.rs`). Recording a read appends one log record.
 
-use crate::sidecar::StatsSidecar;
+use crate::log::AccessStats;
+use crate::sidecar::{sync_dir, StatsSidecar};
 use octo_common::{ByteSize, OctoError, PerTier, Result, SimTime, StorageTier};
 use octo_dfs::backend::{FileRecord, StorageBackend, TierStatus};
 use std::io::{Read, Write};
@@ -12,6 +17,9 @@ use std::time::Instant;
 /// Copy granularity; also the pacing quantum of the bandwidth budget.
 const CHUNK: usize = 256 * 1024;
 
+/// Name prefix of a copy's temp file in the destination directory.
+const TMP_PREFIX: &str = ".octo-tmp.";
+
 /// Configuration of a [`FsBackend`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FsBackendConfig {
@@ -21,7 +29,8 @@ pub struct FsBackendConfig {
     pub roots: PerTier<PathBuf>,
     /// Declared capacity of each tier (the planner's watermark base).
     pub capacities: PerTier<ByteSize>,
-    /// Directory holding backend state (the access-stats sidecar).
+    /// Directory holding backend state (the access-stats snapshot and
+    /// log).
     pub state_dir: PathBuf,
     /// Heat decay parameters applied to the sidecar statistics.
     pub heat: octo_dfs::HeatConfig,
@@ -43,7 +52,8 @@ impl FsBackendConfig {
         }
     }
 
-    /// Where the access-stats sidecar lives.
+    /// Where the access-stats snapshot lives; the access log sits beside
+    /// it as `octostats.log`.
     pub fn sidecar_path(&self) -> PathBuf {
         self.state_dir.join("octostats.json")
     }
@@ -52,18 +62,18 @@ impl FsBackendConfig {
 /// [`StorageBackend`] mapping tiers to local directory trees.
 ///
 /// See the crate docs for the layout and crash-safety contract. Heat is
-/// estimated from the sidecar as
+/// estimated from the access statistics as
 /// `(write_weight + read_weight · reads) · 0.5^(Δt / half_life)` with Δt
 /// measured from the file's newest access to the backend clock (the
 /// newest access overall); never-read files score `0.0`, i.e. coldest.
 #[derive(Debug)]
 pub struct FsBackend {
     cfg: FsBackendConfig,
-    sidecar: StatsSidecar,
+    stats: AccessStats,
     cancel: Option<Arc<AtomicBool>>,
 }
 
-fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> OctoError {
+pub(crate) fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> OctoError {
     OctoError::InvalidState(format!("{ctx} {}: {e}", path.display()))
 }
 
@@ -84,8 +94,8 @@ fn check_rel_path(path: &str) -> Result<()> {
 }
 
 /// Collects `(relative_path, size_bytes)` of every regular file under
-/// `dir`, sorted by path, skipping dot-prefixed names (temp files, the
-/// sidecar) at every level.
+/// `dir`, sorted by path, skipping dot-prefixed names (temp files) at
+/// every level.
 fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, u64)>) -> Result<()> {
     let mut names: Vec<String> = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| io_err("listing", dir, e))?;
@@ -114,9 +124,19 @@ fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, u64)>) -> Result<()> {
     Ok(())
 }
 
+/// The 64-bit FNV-1a hash of no bytes.
+pub(crate) const FNV1A_EMPTY: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Extends a 64-bit FNV-1a `hash` over `bytes`.
+pub(crate) fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// 64-bit FNV-1a over a reader; cheap content fingerprint for verify.
 fn fnv1a64(mut r: impl Read, path: &Path) -> Result<(u64, u64)> {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut hash = FNV1A_EMPTY;
     let mut len: u64 = 0;
     let mut buf = vec![0u8; CHUNK];
     loop {
@@ -125,9 +145,7 @@ fn fnv1a64(mut r: impl Read, path: &Path) -> Result<(u64, u64)> {
             return Ok((len, hash));
         }
         len += n as u64;
-        for &b in &buf[..n] {
-            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        hash = fnv1a(hash, &buf[..n]);
     }
 }
 
@@ -144,18 +162,20 @@ fn pace(budget: u64, start: Instant, sent: u64) {
 }
 
 impl FsBackend {
-    /// Opens (creating tier roots and the state directory as needed) and
-    /// loads the access-stats sidecar.
+    /// Opens (creating tier roots and the state directory as needed),
+    /// loads the access-stats snapshot and replays the access log over it.
+    /// A torn or corrupt record in the log is skipped; the snapshot and
+    /// the log are never written here.
     pub fn open(cfg: FsBackendConfig) -> Result<FsBackend> {
         for (_, root) in cfg.roots.iter() {
             std::fs::create_dir_all(root).map_err(|e| io_err("creating tier root", root, e))?;
         }
         std::fs::create_dir_all(&cfg.state_dir)
             .map_err(|e| io_err("creating state dir", &cfg.state_dir, e))?;
-        let sidecar = StatsSidecar::load(&cfg.sidecar_path())?;
+        let stats = AccessStats::open(cfg.sidecar_path())?;
         Ok(FsBackend {
             cfg,
-            sidecar,
+            stats,
             cancel: None,
         })
     }
@@ -173,9 +193,40 @@ impl FsBackend {
         &self.cfg
     }
 
-    /// The loaded access statistics.
+    /// The access statistics: the snapshot with the log replayed over it
+    /// and every read recorded since.
     pub fn sidecar(&self) -> &StatsSidecar {
-        &self.sidecar
+        self.stats.stats()
+    }
+
+    /// Removes the `.octo-tmp.*` files an interrupted copy left under the
+    /// tier roots and returns how many it removed. Only a caller that
+    /// knows no copy is in flight may run this, such as the holder of the
+    /// daemon's lock.
+    pub fn sweep_temp_files(&self) -> Result<usize> {
+        fn sweep(dir: &Path) -> Result<usize> {
+            let mut removed = 0;
+            let entries = std::fs::read_dir(dir).map_err(|e| io_err("listing", dir, e))?;
+            for entry in entries {
+                let entry = entry.map_err(|e| io_err("listing", dir, e))?;
+                let path = entry.path();
+                let kind = entry.file_type().map_err(|e| io_err("stat", &path, e))?;
+                if kind.is_dir() {
+                    removed += sweep(&path)?;
+                } else if kind.is_file()
+                    && entry.file_name().to_string_lossy().starts_with(TMP_PREFIX)
+                {
+                    std::fs::remove_file(&path).map_err(|e| io_err("deleting", &path, e))?;
+                    removed += 1;
+                }
+            }
+            Ok(removed)
+        }
+        let mut removed = 0;
+        for (_, root) in self.cfg.roots.iter() {
+            removed += sweep(root)?;
+        }
+        Ok(removed)
     }
 
     fn cancelled(&self) -> bool {
@@ -208,7 +259,7 @@ impl StorageBackend for FsBackend {
     }
 
     fn clock(&self) -> SimTime {
-        SimTime::from_millis(self.sidecar.clock_ms())
+        SimTime::from_millis(self.stats.clock_ms())
     }
 
     fn list_files(&self) -> Result<Vec<FileRecord>> {
@@ -231,7 +282,12 @@ impl StorageBackend for FsBackend {
         Ok(merged
             .into_iter()
             .map(|(path, (size, tiers))| {
-                let stats = self.sidecar.entries.get(&path).copied().unwrap_or_default();
+                let stats = self
+                    .sidecar()
+                    .entries
+                    .get(&path)
+                    .copied()
+                    .unwrap_or_default();
                 let (last_access, heat) = if stats.reads == 0 {
                     (None, 0.0)
                 } else {
@@ -272,12 +328,17 @@ impl StorageBackend for FsBackend {
         let parent = dst
             .parent()
             .ok_or_else(|| OctoError::InvalidArgument(format!("{path:?} has no parent")))?;
+        let root = self.cfg.roots.get(to);
+        let made: Vec<&Path> = parent
+            .ancestors()
+            .take_while(|d| d != root && !d.exists())
+            .collect();
         std::fs::create_dir_all(parent).map_err(|e| io_err("creating", parent, e))?;
         let file_name = dst
             .file_name()
             .and_then(|n| n.to_str())
             .ok_or_else(|| OctoError::InvalidArgument(format!("bad file name in {path:?}")))?;
-        let tmp = parent.join(format!(".octo-tmp.{file_name}"));
+        let tmp = parent.join(format!("{TMP_PREFIX}{file_name}"));
 
         // Dot-prefixed temp + rename keeps a half-written destination
         // invisible to listings; pacing sleeps between chunks to hold the
@@ -310,6 +371,13 @@ impl StorageBackend for FsBackend {
         writer.sync_all().map_err(|e| io_err("syncing", &tmp, e))?;
         drop(writer);
         std::fs::rename(&tmp, &dst).map_err(|e| io_err("renaming into", &dst, e))?;
+        // The rename, and the directories made for it, must reach the disk
+        // before the caller deletes the source, which may sit on another
+        // filesystem.
+        sync_dir(parent)?;
+        for dir in made {
+            sync_dir(dir.parent().expect("a directory below the tier root"))?;
+        }
         Ok(ByteSize::from_bytes(sent))
     }
 
@@ -354,8 +422,7 @@ impl StorageBackend for FsBackend {
         if !resident {
             return Err(OctoError::NotFound(format!("{path} has no readable copy")));
         }
-        self.sidecar.record_read(path, now.as_millis());
-        self.sidecar.save(&self.cfg.sidecar_path())
+        self.stats.record(path, now.as_millis())
     }
 }
 
@@ -474,6 +541,38 @@ mod tests {
         assert_eq!(rec.last_access, Some(SimTime::from_secs(99)));
         let again = &be.list_files().unwrap()[0];
         assert_eq!(rec, again, "repeated listings are identical");
+    }
+
+    #[test]
+    fn open_never_writes_the_snapshot_or_the_log() {
+        use std::os::unix::fs::MetadataExt;
+        let base = tmp_base("open-ro");
+        let cfg = small_cfg(&base);
+        let log = cfg.state_dir.join("octostats.log");
+        FsBackend::open(cfg.clone()).unwrap();
+        assert!(!cfg.sidecar_path().exists(), "no snapshot created");
+        assert!(!log.exists(), "no log created");
+
+        seed(&cfg, StorageTier::Ssd, "f", b"x");
+        StatsSidecar::default().save(&cfg.sidecar_path()).unwrap();
+        let mut be = FsBackend::open(cfg.clone()).unwrap();
+        be.record_read("f", SimTime::from_secs(1)).unwrap();
+        be.record_read("f", SimTime::from_secs(2)).unwrap();
+        drop(be);
+        // Tear the second record, as a crash mid-append would.
+        let bytes = std::fs::read(&log).unwrap();
+        std::fs::write(&log, &bytes[..bytes.len() - 3]).unwrap();
+        let state = || {
+            [cfg.sidecar_path(), log.clone()].map(|p| {
+                let m = std::fs::metadata(&p).unwrap();
+                (std::fs::read(&p).unwrap(), m.ino(), m.modified().unwrap())
+            })
+        };
+        let before = state();
+        let be = FsBackend::open(cfg.clone()).unwrap();
+        assert_eq!(be.list_files().unwrap()[0].reads, 1, "torn record dropped");
+        assert_eq!(be.clock(), SimTime::from_secs(1));
+        assert!(state() == before, "open left both files as they were");
     }
 
     #[test]

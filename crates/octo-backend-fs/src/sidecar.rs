@@ -1,14 +1,18 @@
-//! The persistent access-stats sidecar.
+//! The access-stats snapshot.
 //!
-//! One JSON file under the backend's state directory maps each
-//! backend-relative path to its recorded read count and newest access
+//! One JSON file under the backend's state directory, `octostats.json`,
+//! maps each backend-relative path to its read count and newest access
 //! time. Entries are keyed in a `BTreeMap`, so the serialized form is
-//! sorted and byte-stable, and saves go through a temp-file rename so a
-//! crash mid-save never truncates the stats.
+//! sorted and byte-stable. Reads recorded since the snapshot was written
+//! live in the access log beside it (see `log.rs`); the backend rewrites
+//! the snapshot only when it compacts that log. [`StatsSidecar::save`] is
+//! durable: a crash mid-save leaves the previous snapshot whole, and a
+//! returned save survives a power loss.
 
 use octo_common::{OctoError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::Path;
 
 /// Recorded access statistics of one file.
@@ -44,8 +48,9 @@ impl StatsSidecar {
         }
     }
 
-    /// Saves atomically: write a dot-prefixed temp file, then rename over
-    /// the target.
+    /// Saves atomically and durably: write a dot-prefixed temp file and
+    /// sync it, rename it over the target, then sync the directory so the
+    /// rename itself survives a crash.
     pub fn save(&self, path: &Path) -> Result<()> {
         let text = serde_json::to_string(self)
             .map_err(|e| OctoError::InvalidState(format!("serializing stats sidecar: {e}")))?;
@@ -56,7 +61,11 @@ impl StatsSidecar {
             OctoError::InvalidState(format!("creating state dir {}: {e}", dir.display()))
         })?;
         let tmp = dir.join(".octostats.tmp");
-        std::fs::write(&tmp, text).map_err(|e| {
+        let write = |mut f: std::fs::File| {
+            f.write_all(text.as_bytes())?;
+            f.sync_all()
+        };
+        std::fs::File::create(&tmp).and_then(write).map_err(|e| {
             OctoError::InvalidState(format!("writing stats sidecar {}: {e}", tmp.display()))
         })?;
         std::fs::rename(&tmp, path).map_err(|e| {
@@ -64,24 +73,37 @@ impl StatsSidecar {
                 "renaming stats sidecar into {}: {e}",
                 path.display()
             ))
-        })
+        })?;
+        sync_dir(dir)
     }
+}
 
+/// The in-memory fold the backend ran before the access log, kept as the
+/// reference that log replay is tested against.
+#[cfg(test)]
+impl StatsSidecar {
     /// Records one read of `path` at `now_ms` (monotone per entry).
-    pub fn record_read(&mut self, path: &str, now_ms: u64) {
+    pub(crate) fn record_read(&mut self, path: &str, now_ms: u64) {
         let e = self.entries.entry(path.to_string()).or_default();
         e.reads += 1;
         e.last_access_ms = e.last_access_ms.max(now_ms);
     }
 
     /// The newest access across all entries: the backend's logical clock.
-    pub fn clock_ms(&self) -> u64 {
+    pub(crate) fn clock_ms(&self) -> u64 {
         self.entries
             .values()
             .map(|e| e.last_access_ms)
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Syncs a directory, making a create or rename inside it durable.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    std::fs::File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| OctoError::InvalidState(format!("syncing directory {}: {e}", dir.display())))
 }
 
 #[cfg(test)]

@@ -11,7 +11,8 @@
 //!   planning entry points (`plan_cache_copy`, `plan_drop_replicas`), so
 //!   every pinned golden digest is untouched by construction.
 //! * `FsBackend` (crate `octo-backend-fs`) maps each tier to a real local
-//!   directory tree and persists access statistics in a JSON sidecar.
+//!   directory tree and persists access statistics as a JSON snapshot
+//!   plus an append-only access log.
 //!
 //! The mutation API is deliberately split into the three crash-safe steps
 //! the executor orders as **copy → verify → delete**: a crash between any
@@ -42,7 +43,7 @@ pub struct FileRecord {
     /// Exponentially-decayed heat score folded at the backend's
     /// [`clock`](StorageBackend::clock). Simulated backends report the
     /// statistics registry's exact incremental fold; the filesystem
-    /// backend reports the sidecar estimate.
+    /// backend estimates it from the read count and newest access.
     pub heat: f64,
 }
 

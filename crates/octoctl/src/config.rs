@@ -17,7 +17,7 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OctoctlConfig {
     /// Base directory: tier roots `mem/`, `ssd/`, `hdd/` and `state/`
-    /// (sidecar, PID lock) live under it.
+    /// (access stats, PID lock) live under it.
     pub base_dir: String,
     /// Declared capacity of the memory tier, bytes.
     pub mem_capacity_bytes: u64,

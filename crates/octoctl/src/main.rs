@@ -12,7 +12,10 @@
 //! (markdown, or exact plan JSON with `--json`) and touches nothing.
 //! `--execute` performs the plan once under the PID lock. `daemon` loops
 //! watch → plan → execute with structured JSON logs on stdout until
-//! SIGTERM/SIGINT or `--max-cycles`.
+//! SIGTERM/SIGINT or `--max-cycles`, reopening the backend each cycle so
+//! it plans from the reads `record` logged meanwhile. Both executing
+//! commands remove the `.octo-tmp.*` files of interrupted copies once they
+//! hold the lock.
 
 use octo_backend_fs::FsBackend;
 use octo_dfs::backend::StorageBackend;
@@ -129,6 +132,17 @@ fn open_backend(cfg: &OctoctlConfig) -> Result<FsBackend, String> {
     FsBackend::open(cfg.backend_config()).map_err(|e| e.to_string())
 }
 
+/// Removes the temp files of copies a crash cut short. Only the holder of
+/// the PID lock may call this: no copy of its own is in flight, and no
+/// other process executes moves.
+fn sweep_temp_files(backend: &FsBackend) -> Result<(), String> {
+    let removed = backend.sweep_temp_files().map_err(|e| e.to_string())?;
+    if removed > 0 {
+        jlog("temp_files_removed", &[("count", removed.to_string())]);
+    }
+    Ok(())
+}
+
 fn cmd_init(args: &Args) -> Result<(), String> {
     let base = args.required("--base")?;
     let mut cfg = OctoctlConfig::example(base);
@@ -160,6 +174,7 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let _lock = PidLock::acquire(&cfg.lock_path()).map_err(|e| e.to_string())?;
+    sweep_temp_files(&backend)?;
     let cancel = signals::install();
     backend.set_cancel_flag(cancel.clone());
     let report = exec::execute_plan(&mut backend, &plan, &cancel);
@@ -198,7 +213,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     let cancel = signals::install();
     let _lock = PidLock::acquire(&cfg.lock_path()).map_err(|e| e.to_string())?;
     let mut backend = open_backend(&cfg)?;
-    backend.set_cancel_flag(cancel.clone());
+    sweep_temp_files(&backend)?;
     jlog(
         "daemon_start",
         &[
@@ -213,6 +228,12 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         if cancel.load(Ordering::SeqCst) {
             break "signal";
         }
+        if cycles > 0 {
+            // A fresh open picks up the reads that `octoctl record` logged
+            // since the last cycle.
+            backend = open_backend(&cfg)?;
+        }
+        backend.set_cancel_flag(cancel.clone());
         let plan = plan_moves(&backend, &cfg.planner_config()).map_err(|e| e.to_string())?;
         jlog(
             "cycle_planned",

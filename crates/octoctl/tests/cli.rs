@@ -1,9 +1,11 @@
 //! End-to-end tests of the `octoctl` binary over a real tempdir tree:
 //! deterministic dry-run plans, bounded-bandwidth execution, the PID-lock
-//! protocol (stale reclaim, concurrent-daemon mutual exclusion) and
-//! graceful SIGTERM mid-move.
+//! protocol (stale reclaim, concurrent-daemon mutual exclusion), graceful
+//! SIGTERM mid-move, reads recorded while the daemon runs, and the sweep
+//! of interrupted copies' temp files.
 
 use octoctl::config::OctoctlConfig;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
@@ -223,4 +225,82 @@ fn sigterm_mid_move_leaves_a_readable_copy_and_exits_cleanly() {
         "no partial copy: {ssd_leftovers:?}"
     );
     assert!(!base.join("state/octoctl.pid").exists(), "lock released");
+}
+
+#[test]
+fn daemon_plans_from_reads_recorded_after_it_started() {
+    let (base, cfg) = setup("reload", 1_000_000, 0);
+    seed(&base, "hdd", "warm.dat", 100);
+    let cfg_s = cfg.to_str().unwrap();
+    // Cycle 0's log line is the barrier; the records below must land in
+    // the nap after it, which is long enough for three short commands.
+    let mut daemon = Command::new(bin())
+        .args(["daemon", "--config", cfg_s, "--max-cycles", "2"])
+        .args(["--interval-ms", "4000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(daemon.stdout.take().unwrap())
+        .lines()
+        .map(|l| l.unwrap());
+    let cycle0 = lines
+        .by_ref()
+        .find(|l| l.contains("\"event\":\"cycle_planned\""))
+        .expect("cycle 0 is planned");
+    assert!(
+        cycle0.contains("\"cycle\":\"0\"") && cycle0.contains("\"moves\":\"0\""),
+        "nothing is hot before any read: {cycle0}"
+    );
+    // Three reads lift the HDD file to heat 3.5, past `watermark_hot`
+    // (2.0).
+    for _ in 0..3 {
+        let out = octoctl(&["record", "--config", cfg_s, "--path", "warm.dat"]);
+        assert!(out.status.success(), "{out:?}");
+    }
+    let rest: Vec<String> = lines.collect();
+    assert!(daemon.wait().unwrap().success());
+    let log = rest.join("\n");
+    assert!(
+        log.contains("\"event\":\"cycle_planned\",\"cycle\":\"1\",\"files\":\"1\",\"moves\":\"1\""),
+        "cycle 1 plans the upgrade: {log}"
+    );
+    assert!(
+        log.contains("\"cycle\":\"1\",\"path\":\"warm.dat\",\"status\":\"moved\""),
+        "{log}"
+    );
+    assert!(base.join("mem/warm.dat").exists(), "upgraded into MEM");
+    assert!(!base.join("hdd/warm.dat").exists());
+}
+
+#[test]
+fn lock_holders_sweep_leftover_temp_files_and_other_commands_do_not() {
+    let (base, cfg) = setup("sweep", 1_000_000, 0);
+    seed(&base, "mem", "f.dat", 100);
+    let cfg_s = cfg.to_str().unwrap();
+    // What a copy killed mid-flight leaves behind.
+    let leftover = base.join("ssd/d/.octo-tmp.f.dat");
+    let plant = || seed(&base, "ssd", "d/.octo-tmp.f.dat", 50);
+    plant();
+    for args in [
+        &["plan", "--config", cfg_s, "--dry-run"][..],
+        &["status", "--config", cfg_s],
+        &["record", "--config", cfg_s, "--path", "f.dat"],
+    ] {
+        let out = octoctl(args);
+        assert!(out.status.success(), "{out:?}");
+        assert!(leftover.exists(), "{args:?} must not sweep");
+    }
+    let out = octoctl(&["daemon", "--config", cfg_s, "--max-cycles", "1"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!leftover.exists(), "the daemon sweeps under its lock");
+    assert!(
+        stdout_of(&out).contains("\"event\":\"temp_files_removed\",\"count\":\"1\""),
+        "{out:?}"
+    );
+    plant();
+    let out = octoctl(&["plan", "--config", cfg_s, "--execute"]);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!leftover.exists(), "plan --execute sweeps under its lock");
+    assert!(base.join("mem/f.dat").exists(), "the payload is untouched");
 }

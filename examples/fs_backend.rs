@@ -29,7 +29,7 @@ fn main() {
     }
 
     let mut backend = FsBackend::open(cfg).unwrap();
-    // Reads feed the sidecar; the planner keeps the hot files in memory
+    // Reads feed the access log; the planner keeps the hot files in memory
     // and drains the cold ones. Timestamps are logical, not wall clock.
     backend
         .record_read("alpha.dat", SimTime::from_secs(10))
