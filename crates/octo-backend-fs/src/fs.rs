@@ -1,14 +1,20 @@
 //! [`StorageBackend`] over real local directories.
 //!
-//! Listings walk the tier roots; access statistics come from memory, where
-//! `FsBackend::open` loaded the snapshot and replayed the access log (see
-//! `log.rs`). Recording a read appends one log record.
+//! A listing walks the three tier roots once. `readdir` gives each entry's
+//! kind, a file is stat'ed relative to its open directory, and one stable
+//! sort by path merges the tiers. The same walk sums each tier's used
+//! bytes, and `tier_status` answers from those sums until a copy or a
+//! delete runs, so one walk serves a whole planning cycle. Access
+//! statistics come from memory, where `FsBackend::open` loaded the
+//! snapshot and replayed the access log (see `log.rs`). Recording a read
+//! appends one log record.
 
 use crate::log::AccessStats;
 use crate::sidecar::{sync_dir, StatsSidecar};
 use octo_common::{ByteSize, OctoError, PerTier, Result, SimTime, StorageTier};
 use octo_dfs::backend::{FileRecord, StorageBackend, TierStatus};
-use std::io::{Read, Write};
+use std::cell::Cell;
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -66,11 +72,22 @@ impl FsBackendConfig {
 /// `(write_weight + read_weight · reads) · 0.5^(Δt / half_life)` with Δt
 /// measured from the file's newest access to the backend clock (the
 /// newest access overall); never-read files score `0.0`, i.e. coldest.
+///
+/// [`tier_status`](StorageBackend::tier_status) reports the used bytes the
+/// latest [`list_files`](StorageBackend::list_files) summed. It walks the
+/// tier's root itself only when no listing has succeeded since the backend
+/// opened or since its last `copy_file` or `delete_replica`, so a file
+/// written into a root from outside shows in it only after the next
+/// listing.
 #[derive(Debug)]
 pub struct FsBackend {
     cfg: FsBackendConfig,
     stats: AccessStats,
     cancel: Option<Arc<AtomicBool>>,
+    /// Each tier's used bytes as the latest listing summed them; `None`
+    /// until a listing succeeds, and again from the start of a listing, a
+    /// copy or a delete.
+    observed: Cell<Option<PerTier<u64>>>,
 }
 
 pub(crate) fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> OctoError {
@@ -93,32 +110,57 @@ fn check_rel_path(path: &str) -> Result<()> {
     Ok(())
 }
 
-/// Collects `(relative_path, size_bytes)` of every regular file under
-/// `dir`, sorted by path, skipping dot-prefixed names (temp files) at
+/// Opens `dir` for listing. A subdirectory (`top` false) removed since its
+/// parent was read is `None`: it holds no readable copy. A missing tier
+/// root stays an error, so an unmounted tier never looks empty.
+fn open_dir(dir: &Path, top: bool) -> Result<Option<std::fs::ReadDir>> {
+    match std::fs::read_dir(dir) {
+        Ok(entries) => Ok(Some(entries)),
+        Err(e) if !top && e.kind() == ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_err("listing", dir, e)),
+    }
+}
+
+/// Calls `found(relative_path, size_bytes)` for every regular file under
+/// `dir`, in directory order, skipping dot-prefixed names (temp files) at
 /// every level.
-fn walk(dir: &Path, prefix: &str, out: &mut Vec<(String, u64)>) -> Result<()> {
-    let mut names: Vec<String> = Vec::new();
-    let entries = std::fs::read_dir(dir).map_err(|e| io_err("listing", dir, e))?;
+///
+/// Each entry's kind comes from `readdir`: a directory costs no `stat`, a
+/// file is stat'ed relative to the open directory, and only a symbolic
+/// link is followed, as `std::fs::metadata` would. An entry that vanished
+/// since `readdir` returned it, or a dangling link, is skipped. `dir` is a
+/// tier root when `prefix` is empty, and then it must exist.
+fn walk(dir: &Path, prefix: &str, found: &mut impl FnMut(String, u64)) -> Result<()> {
+    let Some(entries) = open_dir(dir, prefix.is_empty())? else {
+        return Ok(());
+    };
     for entry in entries {
         let entry = entry.map_err(|e| io_err("listing", dir, e))?;
-        match entry.file_name().into_string() {
-            Ok(name) if !name.starts_with('.') => names.push(name),
-            _ => {} // dotfiles and non-UTF-8 names are not backend files
-        }
-    }
-    names.sort();
-    for name in names {
-        let full = dir.join(&name);
+        let name = match entry.file_name().into_string() {
+            Ok(name) if !name.starts_with('.') => name,
+            _ => continue, // dotfiles and non-UTF-8 names are not backend files
+        };
         let rel = if prefix.is_empty() {
             name
         } else {
             format!("{prefix}/{name}")
         };
-        let meta = std::fs::metadata(&full).map_err(|e| io_err("stat", &full, e))?;
-        if meta.is_dir() {
-            walk(&full, &rel, out)?;
-        } else if meta.is_file() {
-            out.push((rel, meta.len()));
+        let meta = match entry.file_type() {
+            Ok(kind) if kind.is_dir() => {
+                walk(&entry.path(), &rel, found)?;
+                continue;
+            }
+            Ok(kind) if kind.is_file() => entry.metadata(),
+            Ok(kind) if kind.is_symlink() => std::fs::metadata(entry.path()),
+            Ok(_) => continue, // pipes, sockets and devices hold no payload
+            Err(e) => Err(e),
+        };
+        match meta {
+            Ok(meta) if meta.is_dir() => walk(&entry.path(), &rel, found)?,
+            Ok(meta) if meta.is_file() => found(rel, meta.len()),
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::NotFound => {}
+            Err(e) => return Err(io_err("stat", &entry.path(), e)),
         }
     }
     Ok(())
@@ -177,6 +219,7 @@ impl FsBackend {
             cfg,
             stats,
             cancel: None,
+            observed: Cell::new(None),
         })
     }
 
@@ -202,29 +245,38 @@ impl FsBackend {
     /// Removes the `.octo-tmp.*` files an interrupted copy left under the
     /// tier roots and returns how many it removed. Only a caller that
     /// knows no copy is in flight may run this, such as the holder of the
-    /// daemon's lock.
+    /// daemon's lock. Entries that vanish during the sweep are skipped.
     pub fn sweep_temp_files(&self) -> Result<usize> {
-        fn sweep(dir: &Path) -> Result<usize> {
+        fn sweep(dir: &Path, top: bool) -> Result<usize> {
+            let Some(entries) = open_dir(dir, top)? else {
+                return Ok(0);
+            };
             let mut removed = 0;
-            let entries = std::fs::read_dir(dir).map_err(|e| io_err("listing", dir, e))?;
             for entry in entries {
                 let entry = entry.map_err(|e| io_err("listing", dir, e))?;
                 let path = entry.path();
-                let kind = entry.file_type().map_err(|e| io_err("stat", &path, e))?;
+                let kind = match entry.file_type() {
+                    Ok(kind) => kind,
+                    Err(e) if e.kind() == ErrorKind::NotFound => continue,
+                    Err(e) => return Err(io_err("stat", &path, e)),
+                };
                 if kind.is_dir() {
-                    removed += sweep(&path)?;
+                    removed += sweep(&path, false)?;
                 } else if kind.is_file()
                     && entry.file_name().to_string_lossy().starts_with(TMP_PREFIX)
                 {
-                    std::fs::remove_file(&path).map_err(|e| io_err("deleting", &path, e))?;
-                    removed += 1;
+                    match std::fs::remove_file(&path) {
+                        Ok(()) => removed += 1,
+                        Err(e) if e.kind() == ErrorKind::NotFound => {}
+                        Err(e) => return Err(io_err("deleting", &path, e)),
+                    }
                 }
             }
             Ok(removed)
         }
         let mut removed = 0;
         for (_, root) in self.cfg.roots.iter() {
-            removed += sweep(root)?;
+            removed += sweep(root, true)?;
         }
         Ok(removed)
     }
@@ -237,6 +289,32 @@ impl FsBackend {
 
     fn tier_path(&self, tier: StorageTier, path: &str) -> PathBuf {
         self.cfg.roots.get(tier).join(path)
+    }
+
+    /// The record of `path`: its access statistics and heat at `now`.
+    fn record(&self, path: String, size: u64, tiers: Vec<StorageTier>, now: SimTime) -> FileRecord {
+        let stats = self
+            .sidecar()
+            .entries
+            .get(&path)
+            .copied()
+            .unwrap_or_default();
+        let heat_cfg = &self.cfg.heat;
+        let (last_access, heat) = if stats.reads == 0 {
+            (None, 0.0)
+        } else {
+            let at = SimTime::from_millis(stats.last_access_ms);
+            let base = heat_cfg.write_weight + heat_cfg.read_weight * stats.reads as f64;
+            (Some(at), base * heat_cfg.decay(now.duration_since(at)))
+        };
+        FileRecord {
+            path,
+            size: ByteSize::from_bytes(size),
+            tiers,
+            reads: stats.reads,
+            last_access,
+            heat,
+        }
     }
 
     fn require_file(&self, path: &str, tier: StorageTier) -> Result<PathBuf> {
@@ -263,54 +341,40 @@ impl StorageBackend for FsBackend {
     }
 
     fn list_files(&self) -> Result<Vec<FileRecord>> {
-        // path → (size from the highest tier, tiers highest-first).
-        let mut merged: std::collections::BTreeMap<String, (u64, Vec<StorageTier>)> =
-            std::collections::BTreeMap::new();
+        self.observed.set(None);
+        let mut found: Vec<(String, u64, StorageTier)> = Vec::new();
+        let mut used = PerTier::<u64>::default();
         for tier in StorageTier::ALL {
-            let mut files = Vec::new();
-            walk(self.cfg.roots.get(tier), "", &mut files)?;
-            for (path, size) in files {
-                merged
-                    .entry(path)
-                    .or_insert((size, Vec::new()))
-                    .1
-                    .push(tier);
+            let sum = used.get_mut(tier);
+            walk(self.cfg.roots.get(tier), "", &mut |path, size| {
+                *sum += size;
+                found.push((path, size, tier));
+            })?;
+        }
+        // Stable, so a path's copies stay highest tier first and the first
+        // one gives the size.
+        found.sort_by(|a, b| a.0.cmp(&b.0));
+        let now = self.clock();
+        let mut files: Vec<FileRecord> = Vec::with_capacity(found.len());
+        for (path, size, tier) in found {
+            match files.last_mut() {
+                Some(last) if last.path == path => last.tiers.push(tier),
+                _ => files.push(self.record(path, size, vec![tier], now)),
             }
         }
-        let now = self.clock();
-        let heat_cfg = &self.cfg.heat;
-        Ok(merged
-            .into_iter()
-            .map(|(path, (size, tiers))| {
-                let stats = self
-                    .sidecar()
-                    .entries
-                    .get(&path)
-                    .copied()
-                    .unwrap_or_default();
-                let (last_access, heat) = if stats.reads == 0 {
-                    (None, 0.0)
-                } else {
-                    let at = SimTime::from_millis(stats.last_access_ms);
-                    let base = heat_cfg.write_weight + heat_cfg.read_weight * stats.reads as f64;
-                    (Some(at), base * heat_cfg.decay(now.duration_since(at)))
-                };
-                FileRecord {
-                    path,
-                    size: ByteSize::from_bytes(size),
-                    tiers,
-                    reads: stats.reads,
-                    last_access,
-                    heat,
-                }
-            })
-            .collect())
+        self.observed.set(Some(used));
+        Ok(files)
     }
 
     fn tier_status(&self, tier: StorageTier) -> Result<TierStatus> {
-        let mut files = Vec::new();
-        walk(self.cfg.roots.get(tier), "", &mut files)?;
-        let used: u64 = files.iter().map(|(_, size)| size).sum();
+        let used = match self.observed.get() {
+            Some(used) => *used.get(tier),
+            None => {
+                let mut used = 0;
+                walk(self.cfg.roots.get(tier), "", &mut |_, size| used += size)?;
+                used
+            }
+        };
         Ok(TierStatus {
             capacity: *self.cfg.capacities.get(tier),
             used: ByteSize::from_bytes(used),
@@ -318,6 +382,7 @@ impl StorageBackend for FsBackend {
     }
 
     fn copy_file(&mut self, path: &str, from: StorageTier, to: StorageTier) -> Result<ByteSize> {
+        self.observed.set(None);
         let src = self.require_file(path, from)?;
         let dst = self.tier_path(to, path);
         if dst.exists() {
@@ -402,6 +467,7 @@ impl StorageBackend for FsBackend {
     }
 
     fn delete_replica(&mut self, path: &str, tier: StorageTier) -> Result<()> {
+        self.observed.set(None);
         let victim = self.require_file(path, tier)?;
         let elsewhere = StorageTier::ALL
             .into_iter()
@@ -429,6 +495,73 @@ impl StorageBackend for FsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+    use std::os::unix::fs::symlink;
+    use StorageTier::{Hdd, Memory, Ssd};
+
+    /// The walk before one listing served a whole planning cycle, kept as
+    /// the reference the listing and the tier sums are tested against:
+    /// collects `(relative_path, size_bytes)` of every regular file under
+    /// `dir`, sorted by path, skipping dot-prefixed names at every level,
+    /// with one `stat` by full path per entry.
+    fn reference_walk(dir: &Path, prefix: &str, out: &mut Vec<(String, u64)>) -> Result<()> {
+        let mut names: Vec<String> = Vec::new();
+        let entries = std::fs::read_dir(dir).map_err(|e| io_err("listing", dir, e))?;
+        for entry in entries {
+            let entry = entry.map_err(|e| io_err("listing", dir, e))?;
+            match entry.file_name().into_string() {
+                Ok(name) if !name.starts_with('.') => names.push(name),
+                _ => {} // dotfiles and non-UTF-8 names are not backend files
+            }
+        }
+        names.sort();
+        for name in names {
+            let full = dir.join(&name);
+            let rel = if prefix.is_empty() {
+                name
+            } else {
+                format!("{prefix}/{name}")
+            };
+            let meta = std::fs::metadata(&full).map_err(|e| io_err("stat", &full, e))?;
+            if meta.is_dir() {
+                reference_walk(&full, &rel, out)?;
+            } else if meta.is_file() {
+                out.push((rel, meta.len()));
+            }
+        }
+        Ok(())
+    }
+
+    /// What the backend listed, and each tier's used bytes as one walk of
+    /// its root summed them, before one listing served both: every tier
+    /// walked by [`reference_walk`] and merged in a `BTreeMap`.
+    fn reference_listing(be: &FsBackend) -> (Vec<FileRecord>, PerTier<u64>) {
+        let mut merged: BTreeMap<String, (u64, Vec<StorageTier>)> = BTreeMap::new();
+        let mut used = PerTier::default();
+        for tier in StorageTier::ALL {
+            let mut files = Vec::new();
+            reference_walk(be.cfg.roots.get(tier), "", &mut files).unwrap();
+            *used.get_mut(tier) = files.iter().map(|(_, size)| size).sum();
+            for (path, size) in files {
+                merged
+                    .entry(path)
+                    .or_insert((size, Vec::new()))
+                    .1
+                    .push(tier);
+            }
+        }
+        let now = be.clock();
+        let records = merged
+            .into_iter()
+            .map(|(path, (size, tiers))| be.record(path, size, tiers, now))
+            .collect();
+        (records, used)
+    }
+
+    fn used(be: &FsBackend, tier: StorageTier) -> u64 {
+        be.tier_status(tier).unwrap().used.as_bytes()
+    }
 
     fn tmp_base(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("octo-fsbackend-{}-{tag}", std::process::id()));
@@ -628,5 +761,248 @@ mod tests {
             "copy finished too fast for the budget: {:?}",
             start.elapsed()
         );
+    }
+
+    /// `octoctl/tests/record_history.rs`'s names, with the tier each sits on.
+    const AWKWARD: [(StorageTier, &str); 13] = [
+        (Memory, "plain/a.dat"),
+        (Memory, "q\"uote\".dat"),
+        (Memory, "with space/c d.dat"),
+        (Memory, "new\nline.dat"),
+        (Ssd, "données/π-1.bin"),
+        (Ssd, "emoji 😀/f.dat"),
+        (Ssd, "back\\slash.dat"),
+        (Hdd, "deep/x/y/z.dat"),
+        (Hdd, "日本語/ファイル.dat"),
+        (Hdd, "tab\there.dat"),
+        (Hdd, "mixed \"q\" \n 😀.dat"),
+        (Hdd, "plain/e.dat"),
+        (Ssd, "plain/a.dat"),
+    ];
+
+    #[test]
+    fn listing_matches_the_reference_on_awkward_names() {
+        use std::os::unix::ffi::OsStrExt;
+        let base = tmp_base("awkward");
+        let cfg = small_cfg(&base);
+        for (i, (tier, path)) in AWKWARD.into_iter().enumerate() {
+            seed(&cfg, tier, path, &vec![b'x'; 100 + i]);
+        }
+        // A walk yields `a/b` before `a-c`; byte order puts `a-c` first.
+        seed(&cfg, Ssd, "a/b", b"ab");
+        seed(&cfg, Ssd, "a-c", b"ac");
+        // One path on two tiers with different sizes.
+        seed(&cfg, Memory, "dup.dat", b"short");
+        seed(&cfg, Hdd, "dup.dat", b"the longer copy");
+        seed(&cfg, Memory, ".octo-tmp.dup.dat", b"temp");
+        seed(&cfg, Ssd, "plain/.hidden", b"h");
+        seed(&cfg, Hdd, ".dotdir/f.dat", b"f");
+        let bad_name = std::ffi::OsStr::from_bytes(b"non-utf8-\xff.dat");
+        std::fs::write(cfg.roots.get(Memory).join(bad_name), b"x").unwrap();
+        // Links are followed: one to a file, one to a directory on another
+        // tier.
+        symlink(
+            cfg.roots.get(Memory).join("dup.dat"),
+            cfg.roots.get(Ssd).join("linked.dat"),
+        )
+        .unwrap();
+        symlink(
+            cfg.roots.get(Hdd).join("deep"),
+            cfg.roots.get(Ssd).join("linked-dir"),
+        )
+        .unwrap();
+        let mut be = FsBackend::open(cfg).unwrap();
+        be.record_read("dup.dat", SimTime::from_secs(3)).unwrap();
+        be.record_read("a-c", SimTime::from_secs(9)).unwrap();
+
+        let (records, walked) = reference_listing(&be);
+        let files = be.list_files().unwrap();
+        assert_eq!(files, records);
+        for tier in StorageTier::ALL {
+            assert_eq!(used(&be, tier), *walked.get(tier), "{tier}");
+        }
+        let at = |p: &str| files.iter().position(|f| f.path == p).unwrap();
+        assert!(at("a-c") < at("a/b"), "byte-wise path order");
+        let dup = &files[at("dup.dat")];
+        assert_eq!(dup.tiers, vec![Memory, Hdd]);
+        assert_eq!(
+            dup.size,
+            ByteSize::from_bytes(5),
+            "size from the highest tier"
+        );
+        assert_eq!(files[at("plain/a.dat")].tiers, vec![Memory, Ssd]);
+        assert_eq!(files[at("linked.dat")].size, ByteSize::from_bytes(5));
+        assert_eq!(files[at("linked-dir/x/y/z.dat")].tiers, vec![Ssd]);
+        assert!(files.iter().all(|f| !f.path.contains("/.")
+            && !f.path.starts_with('.')
+            && !f.path.starts_with("non-utf8")));
+        assert_eq!(files.len(), AWKWARD.len() - 1 + 5);
+    }
+
+    /// A relative path of one to three components drawn from names whose
+    /// byte order and component order disagree.
+    fn random_path(pick: usize) -> String {
+        const NAMES: [&str; 6] = ["a", "a-c", "a.b", "b", "é", "z z"];
+        let depth = 1 + pick % 3;
+        let mut rest = pick / 3;
+        let parts: Vec<&str> = (0..depth)
+            .map(|_| {
+                let name = NAMES[rest % NAMES.len()];
+                rest /= NAMES.len();
+                name
+            })
+            .collect();
+        parts.join("/")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        #[test]
+        fn random_trees_list_like_the_reference(
+            ops in proptest::collection::vec((0usize..3, 0usize..648, 0u8..8, 0usize..3_000), 1..48),
+        ) {
+            let base = tmp_base("prop");
+            let cfg = small_cfg(&base);
+            let mut written: Vec<PathBuf> = Vec::new();
+            for (tier, pick, kind, size) in ops {
+                let full = cfg.roots.get(StorageTier::ALL[tier]).join(random_path(pick));
+                // A path already taken by a file or a directory of the other
+                // kind is skipped.
+                if std::fs::create_dir_all(full.parent().unwrap()).is_err() {
+                    continue;
+                }
+                match kind {
+                    0 if !written.is_empty() => {
+                        let _ = symlink(&written[size % written.len()], &full);
+                    }
+                    1 => {
+                        let name = full.file_name().unwrap().to_str().unwrap();
+                        let _ = std::fs::write(full.with_file_name(format!(".{name}")), b"dot");
+                    }
+                    _ => {
+                        if std::fs::write(&full, vec![7u8; size]).is_ok() {
+                            written.push(full);
+                        }
+                    }
+                }
+            }
+            let be = FsBackend::open(cfg).unwrap();
+            let (records, walked) = reference_listing(&be);
+            prop_assert_eq!(be.list_files().unwrap(), records);
+            for tier in StorageTier::ALL {
+                prop_assert_eq!(used(&be, tier), *walked.get(tier));
+            }
+        }
+    }
+
+    #[test]
+    fn tier_status_answers_from_the_latest_listing() {
+        let base = tmp_base("observe");
+        let cfg = small_cfg(&base);
+        seed(&cfg, Memory, "a", &[1; 100]);
+        seed(&cfg, Ssd, "b", &[2; 200]);
+        let be = FsBackend::open(cfg.clone()).unwrap();
+        assert_eq!(used(&be, Memory), 100);
+        seed(&cfg, Memory, "late", &[3; 10]);
+        assert_eq!(used(&be, Memory), 110, "a backend that never listed walks");
+
+        be.list_files().unwrap();
+        seed(&cfg, Memory, "later", &[4; 1]);
+        assert_eq!(used(&be, Memory), 110, "the listing's sum, not a walk");
+        be.list_files().unwrap();
+        assert_eq!(used(&be, Memory), 111, "the next listing shows the file");
+        assert_eq!(used(&be, Ssd), 200);
+    }
+
+    #[test]
+    fn copies_and_deletes_clear_the_observation_even_when_they_fail() {
+        type Step = fn(&mut FsBackend) -> Result<()>;
+        let steps: [(&str, bool, Step); 5] = [
+            ("copy", true, |be| be.copy_file("a", Memory, Hdd).map(drop)),
+            ("copy onto a copy", false, |be| {
+                be.copy_file("b", Ssd, Hdd).map(drop)
+            }),
+            ("copy of nothing", false, |be| {
+                be.copy_file("none", Memory, Ssd).map(drop)
+            }),
+            ("delete", true, |be| be.delete_replica("b", Hdd)),
+            ("delete of the last copy", false, |be| {
+                be.delete_replica("a", Memory)
+            }),
+        ];
+        for (what, succeeds, step) in steps {
+            let base = tmp_base("clear");
+            let cfg = small_cfg(&base);
+            seed(&cfg, Memory, "a", &[1; 100]);
+            seed(&cfg, Ssd, "b", &[2; 200]);
+            seed(&cfg, Hdd, "b", &[2; 200]);
+            let mut be = FsBackend::open(cfg.clone()).unwrap();
+            be.list_files().unwrap();
+            // Unseen by the listing: only a fresh walk counts it.
+            for tier in StorageTier::ALL {
+                seed(&cfg, tier, "outside", &[0; 7]);
+            }
+            assert_eq!(step(&mut be).is_ok(), succeeds, "{what}");
+            let (_, walked) = reference_listing(&be);
+            for tier in StorageTier::ALL {
+                assert_eq!(used(&be, tier), *walked.get(tier), "after {what}: {tier}");
+            }
+        }
+    }
+
+    #[test]
+    fn plan_rows_count_every_copy_of_a_size_mismatched_duplicate() {
+        let base = tmp_base("plan-dup");
+        let cfg = small_cfg(&base);
+        seed(&cfg, Memory, "dup.dat", &[1; 300]);
+        seed(&cfg, Hdd, "dup.dat", &[1; 700]);
+        seed(&cfg, Ssd, "other.dat", &[2; 50]);
+        let be = FsBackend::open(cfg).unwrap();
+        let planner = octo_policies::PlannerConfig::default();
+        let plan = octo_policies::plan_moves(&be, &planner).unwrap();
+        let (_, walked) = reference_listing(&be);
+        let rows: Vec<u64> = plan.tiers.iter().map(|r| r.used_bytes).collect();
+        assert_eq!(rows, vec![300, 50, 700]);
+        for (row, tier) in rows.into_iter().zip(StorageTier::ALL) {
+            assert_eq!(row, *walked.get(tier), "{tier}");
+        }
+    }
+
+    #[test]
+    fn dangling_links_are_skipped_and_a_missing_root_stays_fatal() {
+        let base = tmp_base("dangling");
+        let cfg = small_cfg(&base);
+        seed(&cfg, Ssd, "kept.dat", &[1; 10]);
+        seed(&cfg, Ssd, "sub/kept.dat", &[1; 20]);
+        let ssd = cfg.roots.get(Ssd);
+        symlink(base.join("nowhere"), ssd.join("gone.dat")).unwrap();
+        symlink(base.join("nowhere"), ssd.join("sub/gone.dat")).unwrap();
+        symlink(base.join("nowhere"), ssd.join(format!("{TMP_PREFIX}gone"))).unwrap();
+        let planner = octo_policies::PlannerConfig::default();
+
+        let be = FsBackend::open(cfg.clone()).unwrap();
+        assert_eq!(used(&be, Ssd), 30, "a walk without a listing");
+        let paths: Vec<String> = be
+            .list_files()
+            .unwrap()
+            .into_iter()
+            .map(|f| f.path)
+            .collect();
+        assert_eq!(paths, ["kept.dat", "sub/kept.dat"]);
+        assert_eq!(used(&be, Ssd), 30);
+        let plan = octo_policies::plan_moves(&be, &planner).unwrap();
+        assert_eq!((plan.files, plan.tiers[1].used_bytes), (2, 30));
+        assert_eq!(be.sweep_temp_files().unwrap(), 0);
+
+        // An unmounted root never looks like an empty tier.
+        std::fs::remove_dir_all(cfg.roots.get(Hdd)).unwrap();
+        assert!(be.list_files().is_err());
+        assert!(
+            be.tier_status(Hdd).is_err(),
+            "a failed listing leaves no sums"
+        );
+        assert!(octo_policies::plan_moves(&be, &planner).is_err());
+        assert!(be.sweep_temp_files().is_err());
     }
 }

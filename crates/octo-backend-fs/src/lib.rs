@@ -10,6 +10,14 @@
 //! access — never the wall clock — so planning an unchanged tree twice is
 //! byte-identical.
 //!
+//! A planning cycle walks the tree once. A listing reads each directory
+//! once, stats only files (relative to their open directory), and merges
+//! the tiers with one sort by path. The same walk sums each tier's used
+//! bytes, and `tier_status` answers from those sums until the backend
+//! next copies or deletes. An entry that vanishes during a walk, or a
+//! dangling symlink, holds no readable copy and is skipped; a missing tier
+//! root is an error, so an unmounted tier never looks empty.
+//!
 //! The statistics are a JSON snapshot, `octostats.json`, plus an
 //! append-only access log beside it, `octostats.log`. Recording a read
 //! appends one checksummed record holding the file's new read count and

@@ -20,8 +20,7 @@
 //! case is a verified duplicate, never a loss).
 
 use crate::TieredDfs;
-use octo_common::{ByteSize, OctoError, Result, SimTime, StorageTier};
-use octo_common::{FileId, PerTier};
+use octo_common::{ByteSize, FileId, OctoError, Result, SimTime, StorageTier};
 
 /// One file as a backend reports it: where its payload is resident and how
 /// it has been accessed. Returned by [`StorageBackend::list_files`] in
@@ -93,6 +92,13 @@ pub trait StorageBackend {
     fn list_files(&self) -> Result<Vec<FileRecord>>;
 
     /// Capacity and usage of one tier.
+    ///
+    /// A backend may answer from its latest [`list_files`]: a change made
+    /// behind the backend's back since then may show only after the next
+    /// listing, while its own copies and deletes show at once. Planners
+    /// therefore list first and probe the tiers right after.
+    ///
+    /// [`list_files`]: StorageBackend::list_files
     fn tier_status(&self, tier: StorageTier) -> Result<TierStatus>;
 
     /// Copies `path`'s payload from `from` onto `to`, leaving the source
@@ -240,18 +246,6 @@ impl StorageBackend for SimBackend {
     }
 }
 
-/// Convenience: the per-tier [`TierStatus`] table of any backend.
-pub fn tier_status_table(backend: &dyn StorageBackend) -> Result<PerTier<TierStatus>> {
-    let mut statuses = [TierStatus {
-        capacity: ByteSize::ZERO,
-        used: ByteSize::ZERO,
-    }; 3];
-    for tier in StorageTier::ALL {
-        statuses[tier.index()] = backend.tier_status(tier)?;
-    }
-    Ok(PerTier::from_fn(|t| statuses[t.index()]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,8 +292,6 @@ mod tests {
         let status = be.tier_status(files[0].tier()).unwrap();
         assert!(status.used.as_bytes() > 0);
         assert!(status.capacity >= status.used);
-        let table = tier_status_table(&be).unwrap();
-        assert_eq!(*table.get(files[0].tier()), status);
     }
 
     #[test]

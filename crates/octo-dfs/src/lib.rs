@@ -61,7 +61,7 @@ pub mod replication;
 pub mod shard;
 pub mod stats;
 
-pub use backend::{tier_status_table, FileRecord, SimBackend, StorageBackend, TierStatus};
+pub use backend::{FileRecord, SimBackend, StorageBackend, TierStatus};
 pub use block::{BlockInfo, BlockManager, Replica};
 pub use cache::{BlockCache, BlockKey, CacheConfig, CacheLevel, CacheStats};
 pub use config::{DfsConfig, RedundancyMode};
