@@ -2,9 +2,10 @@
 //!
 //! A listing walks the three tier roots once. `readdir` gives each entry's
 //! kind, a file is stat'ed relative to its open directory, and one stable
-//! sort by path merges the tiers. The same walk sums each tier's used
-//! bytes, and `tier_status` answers from those sums until a copy or a
-//! delete runs, so one walk serves a whole planning cycle. Access
+//! sort by path merges the tiers. A directory link is followed unless it
+//! resolves inside a tree the walk is already listing. The same walk sums
+//! each tier's used bytes, and `tier_status` answers from those sums until
+//! a copy or a delete runs, so one walk serves a whole planning cycle. Access
 //! statistics come from memory, where `FsBackend::open` loaded the
 //! snapshot and replayed the access log (see `log.rs`). Recording a read
 //! appends one log record.
@@ -121,16 +122,65 @@ fn open_dir(dir: &Path, top: bool) -> Result<Option<std::fs::ReadDir>> {
     }
 }
 
+/// The trees a walk of one tier root is already listing, as canonical
+/// paths: the root and the target of each directory link the walk is
+/// inside. Resolved only when a link to a directory is met, so a tree
+/// without one costs no extra system call.
+struct Listed<'a> {
+    root: &'a Path,
+    canonical_root: Option<PathBuf>,
+    links: Vec<PathBuf>,
+}
+
+impl<'a> Listed<'a> {
+    fn new(root: &'a Path) -> Self {
+        Listed {
+            root,
+            canonical_root: None,
+            links: Vec::new(),
+        }
+    }
+
+    /// Where the directory link `link` leads, or `None` when that lies
+    /// inside a tree the walk is already listing, whose files it lists
+    /// under their own paths, or when the link vanished. Following such a
+    /// link would list a file twice, and a link to an ancestor forever.
+    fn follow(&mut self, link: &Path) -> Result<Option<PathBuf>> {
+        if self.canonical_root.is_none() {
+            let root =
+                std::fs::canonicalize(self.root).map_err(|e| io_err("resolving", self.root, e))?;
+            self.canonical_root = Some(root);
+        }
+        let target = match std::fs::canonicalize(link) {
+            Ok(target) => target,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) => return Err(io_err("resolving", link, e)),
+        };
+        let listed = self
+            .canonical_root
+            .iter()
+            .chain(&self.links)
+            .any(|tree| target.starts_with(tree));
+        Ok((!listed).then_some(target))
+    }
+}
+
 /// Calls `found(relative_path, size_bytes)` for every regular file under
 /// `dir`, in directory order, skipping dot-prefixed names (temp files) at
 /// every level.
 ///
 /// Each entry's kind comes from `readdir`: a directory costs no `stat`, a
 /// file is stat'ed relative to the open directory, and only a symbolic
-/// link is followed, as `std::fs::metadata` would. An entry that vanished
+/// link is followed, as `std::fs::metadata` would, except a link to a
+/// directory inside a tree `listed` already covers. An entry that vanished
 /// since `readdir` returned it, or a dangling link, is skipped. `dir` is a
 /// tier root when `prefix` is empty, and then it must exist.
-fn walk(dir: &Path, prefix: &str, found: &mut impl FnMut(String, u64)) -> Result<()> {
+fn walk(
+    dir: &Path,
+    prefix: &str,
+    listed: &mut Listed,
+    found: &mut impl FnMut(String, u64),
+) -> Result<()> {
     let Some(entries) = open_dir(dir, prefix.is_empty())? else {
         return Ok(());
     };
@@ -147,7 +197,7 @@ fn walk(dir: &Path, prefix: &str, found: &mut impl FnMut(String, u64)) -> Result
         };
         let meta = match entry.file_type() {
             Ok(kind) if kind.is_dir() => {
-                walk(&entry.path(), &rel, found)?;
+                walk(&entry.path(), &rel, listed, found)?;
                 continue;
             }
             Ok(kind) if kind.is_file() => entry.metadata(),
@@ -156,7 +206,15 @@ fn walk(dir: &Path, prefix: &str, found: &mut impl FnMut(String, u64)) -> Result
             Err(e) => Err(e),
         };
         match meta {
-            Ok(meta) if meta.is_dir() => walk(&entry.path(), &rel, found)?,
+            // Only a link gets here: plain directories recursed above.
+            Ok(meta) if meta.is_dir() => {
+                let link = entry.path();
+                if let Some(target) = listed.follow(&link)? {
+                    listed.links.push(target);
+                    walk(&link, &rel, listed, found)?;
+                    listed.links.pop();
+                }
+            }
             Ok(meta) if meta.is_file() => found(rel, meta.len()),
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::NotFound => {}
@@ -164,6 +222,11 @@ fn walk(dir: &Path, prefix: &str, found: &mut impl FnMut(String, u64)) -> Result
         }
     }
     Ok(())
+}
+
+/// [`walk`] over the tier root `root`.
+fn walk_root(root: &Path, found: &mut impl FnMut(String, u64)) -> Result<()> {
+    walk(root, "", &mut Listed::new(root), found)
 }
 
 /// The 64-bit FNV-1a hash of no bytes.
@@ -346,7 +409,7 @@ impl StorageBackend for FsBackend {
         let mut used = PerTier::<u64>::default();
         for tier in StorageTier::ALL {
             let sum = used.get_mut(tier);
-            walk(self.cfg.roots.get(tier), "", &mut |path, size| {
+            walk_root(self.cfg.roots.get(tier), &mut |path, size| {
                 *sum += size;
                 found.push((path, size, tier));
             })?;
@@ -371,7 +434,7 @@ impl StorageBackend for FsBackend {
             Some(used) => *used.get(tier),
             None => {
                 let mut used = 0;
-                walk(self.cfg.roots.get(tier), "", &mut |_, size| used += size)?;
+                walk_root(self.cfg.roots.get(tier), &mut |_, size| used += size)?;
                 used
             }
         };
@@ -495,6 +558,7 @@ impl StorageBackend for FsBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempTree;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::os::unix::fs::symlink;
@@ -563,10 +627,8 @@ mod tests {
         be.tier_status(tier).unwrap().used.as_bytes()
     }
 
-    fn tmp_base(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("octo-fsbackend-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tmp_base(tag: &str) -> TempTree {
+        TempTree::new(&format!("octo-fsbackend-{tag}"))
     }
 
     fn small_cfg(base: &Path) -> FsBackendConfig {
@@ -966,6 +1028,59 @@ mod tests {
         assert_eq!(rows, vec![300, 50, 700]);
         for (row, tier) in rows.into_iter().zip(StorageTier::ALL) {
             assert_eq!(row, *walked.get(tier), "{tier}");
+        }
+    }
+
+    #[test]
+    fn directory_links_into_a_listed_tree_are_not_followed() {
+        // Links under the SSD root, each a relative target, and the real
+        // files there. `ext` leads out of the roots to a tree holding a
+        // link to itself.
+        type Case<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [&'a str]);
+        let cases: [Case; 3] = [
+            ("up", &[("d/up", "..")], &["d/x.dat", "top.dat"]),
+            (
+                "pair",
+                &[("a/l", "../b"), ("b/l", "../a")],
+                &["a/x.dat", "b/y.dat"],
+            ),
+            ("ext", &[("ext", "../outside")], &["a.dat", "ext/z.dat"]),
+        ];
+        let planner = octo_policies::PlannerConfig::default();
+        for (tag, links, files) in cases {
+            let base = tmp_base(&format!("cycle-{tag}"));
+            let cfg = small_cfg(&base);
+            let ssd = cfg.roots.get(Ssd);
+            let mut sum = 0;
+            for (i, path) in files.iter().enumerate() {
+                let bytes = vec![1; 10 * (i + 1)];
+                sum += bytes.len() as u64;
+                match path.strip_prefix("ext/") {
+                    Some(outside) => {
+                        std::fs::create_dir_all(base.join("outside")).unwrap();
+                        std::fs::write(base.join("outside").join(outside), bytes).unwrap();
+                        symlink(".", base.join("outside/again")).unwrap();
+                    }
+                    None => seed(&cfg, Ssd, path, &bytes),
+                }
+            }
+            for (link, target) in links {
+                let at = ssd.join(link);
+                std::fs::create_dir_all(at.parent().unwrap()).unwrap();
+                symlink(target, at).unwrap();
+            }
+            let be = FsBackend::open(cfg).unwrap();
+            assert_eq!(used(&be, Ssd), sum, "{tag}: a walk without a listing");
+            let paths: Vec<String> = be
+                .list_files()
+                .unwrap()
+                .into_iter()
+                .map(|f| f.path)
+                .collect();
+            assert_eq!(paths, files, "{tag}");
+            assert_eq!(used(&be, Ssd), sum, "{tag}");
+            let plan = octo_policies::plan_moves(&be, &planner).unwrap();
+            assert_eq!((plan.files, plan.tiers[1].used_bytes), (files.len(), sum));
         }
     }
 

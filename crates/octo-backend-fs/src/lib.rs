@@ -16,7 +16,9 @@
 //! bytes, and `tier_status` answers from those sums until the backend
 //! next copies or deletes. An entry that vanishes during a walk, or a
 //! dangling symlink, holds no readable copy and is skipped; a missing tier
-//! root is an error, so an unmounted tier never looks empty.
+//! root is an error, so an unmounted tier never looks empty. A link to a
+//! directory inside a tree the walk is already listing is not followed,
+//! so a link cycle lists each file once instead of failing with `ELOOP`.
 //!
 //! The statistics are a JSON snapshot, `octostats.json`, plus an
 //! append-only access log beside it, `octostats.log`. Recording a read
@@ -45,6 +47,8 @@
 mod fs;
 mod log;
 mod sidecar;
+#[cfg(test)]
+mod testdir;
 
 pub use fs::{FsBackend, FsBackendConfig};
 pub use sidecar::{SidecarEntry, StatsSidecar};

@@ -203,6 +203,7 @@ impl AccessStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempTree;
     use proptest::prelude::*;
 
     const PATHS: [&str; 6] = [
@@ -214,10 +215,9 @@ mod tests {
         "emoji 😀.dat",
     ];
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("octo-accesslog-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
+    fn tmp_dir(tag: &str) -> TempTree {
+        let d = TempTree::new(&format!("octo-accesslog-{tag}"));
+        std::fs::create_dir_all(&*d).unwrap();
         d
     }
 
@@ -235,7 +235,8 @@ mod tests {
 
     #[test]
     fn torn_or_flipped_bytes_lose_only_their_records() {
-        let snap_path = tmp_dir("torn").join("octostats.json");
+        let dir = tmp_dir("torn");
+        let snap_path = dir.join("octostats.json");
         let log_path = snap_path.with_file_name(LOG_FILE);
         let mut snap = StatsSidecar::default();
         snap.record_read(PATHS[0], 500);
@@ -287,7 +288,8 @@ mod tests {
 
     #[test]
     fn compaction_waits_for_the_snapshot_size_and_survives_its_old_log() {
-        let snap_path = tmp_dir("compact").join("octostats.json");
+        let dir = tmp_dir("compact");
+        let snap_path = dir.join("octostats.json");
         let log_path = snap_path.with_file_name(LOG_FILE);
         // A snapshot larger than the floor sets the threshold itself.
         let n = COMPACT_FLOOR + 300;
@@ -327,7 +329,8 @@ mod tests {
             inherited in 0usize..4,
             ops in proptest::collection::vec((0u8..12, 0usize..6, 0u64..2_000), 1..120),
         ) {
-            let snap_path = tmp_dir("stream").join("octostats.json");
+            let dir = tmp_dir("stream");
+            let snap_path = dir.join("octostats.json");
             let mut reference = StatsSidecar::default();
             for (i, path) in PATHS.iter().take(inherited).enumerate() {
                 reference.record_read(path, 100 * i as u64);

@@ -109,11 +109,11 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempTree;
 
-    fn tmp_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("octo-sidecar-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
+    fn tmp_dir(tag: &str) -> TempTree {
+        let d = TempTree::new(&format!("octo-sidecar-{tag}"));
+        std::fs::create_dir_all(&*d).unwrap();
         d
     }
 

@@ -11,7 +11,7 @@
 //! * [`block::BlockManager`] — block → replica locations, with a per-tier
 //!   inverted file index.
 //! * [`node::NodeManager`] — per-node per-tier devices with reserve/commit
-//!   space accounting.
+//!   space accounting, and a per-node change counter.
 //! * [`stats::StatsRegistry`] — per-file access statistics (last *k*
 //!   accesses) feeding both classic policies and the ML feature pipeline.
 //! * [`recency::RecencyIndex`] — incrementally-maintained per-tier and
@@ -35,7 +35,9 @@
 //!   stripe metadata ([`ec::StripeManager`]) tracking data/parity shard
 //!   placements for blocks downgraded into an EC-configured cold tier.
 //! * [`placement::PlacementPolicy`] — the multi-objective placement of
-//!   OctopusFS, reused for choosing transfer destinations (§5.3/§6.3).
+//!   OctopusFS, reused for choosing transfer destinations (§5.3/§6.3). It
+//!   scores from a per-device table that re-reads a node only when its
+//!   change counter moved.
 //! * [`replication`] — transfer plans, movement statistics, and the
 //!   self-healing [`replication::RepairPlanner`] that re-replicates
 //!   under-replicated blocks after node crashes and disk losses.

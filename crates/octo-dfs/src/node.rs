@@ -4,10 +4,18 @@
 //! device) from *reserved* bytes (in-flight transfers that will land soon).
 //! Placement and the downgrade trigger both work on `used + reserved`, so an
 //! already-scheduled transfer can never oversubscribe its destination.
+//!
+//! Every node carries a change counter. Each call that can change one of
+//! its devices (reserve, commit, release, free, `io_started`,
+//! `io_finished`) or its liveness (`set_alive`) bumps it, so placement
+//! re-reads a node only when its counter moved since the last read. A
+//! manager also has a process-unique id, fresh for every clone, so a
+//! placement table never mistakes one manager's devices for another's.
 
 use crate::config::DfsConfig;
 use octo_common::{ByteSize, NodeId, OctoError, PerTier, Result, StorageTier};
 use serde::{Deserialize, Serialize};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One storage device: a tier's medium on one node.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -64,14 +72,38 @@ impl Device {
     }
 }
 
+/// Hands out [`NodeManager`] ids. The id is only compared for equality and
+/// publishes no other data, so `Relaxed` suffices.
+static NEXT_MANAGER_ID: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_manager_id() -> u64 {
+    NEXT_MANAGER_ID.fetch_add(1, Ordering::Relaxed)
+}
+
 /// All workers' devices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct NodeManager {
     nodes: Vec<PerTier<Device>>,
     /// Per-node liveness: dead nodes keep their space accounting (disk
     /// contents survive a crash) but accept no reservations and are
     /// skipped by placement.
     alive: Vec<bool>,
+    /// Per-node change counter, bumped by every call that can change the
+    /// node's devices or liveness.
+    changes: Vec<u64>,
+    /// Unique among the managers of this process, clones included.
+    id: u64,
+}
+
+impl Clone for NodeManager {
+    fn clone(&self) -> Self {
+        NodeManager {
+            nodes: self.nodes.clone(),
+            alive: self.alive.clone(),
+            changes: self.changes.clone(),
+            id: fresh_manager_id(),
+        }
+    }
 }
 
 impl NodeManager {
@@ -81,7 +113,24 @@ impl NodeManager {
             .map(|_| PerTier::from_fn(|t| Device::new(*config.tier_capacity.get(t))))
             .collect();
         let alive = vec![true; nodes.len()];
-        NodeManager { nodes, alive }
+        let changes = vec![0; nodes.len()];
+        NodeManager {
+            nodes,
+            alive,
+            changes,
+            id: fresh_manager_id(),
+        }
+    }
+
+    /// This manager's process-unique id.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// How many times `node`'s devices or liveness may have changed: equal
+    /// counts mean nothing placement reads has changed in between.
+    pub(crate) fn changes(&self, node: NodeId) -> u64 {
+        self.changes[node.index()]
     }
 
     /// Number of worker nodes.
@@ -104,7 +153,10 @@ impl NodeManager {
         self.nodes[node.index()].get(tier)
     }
 
+    /// The only way to a mutable device, so every mutation bumps the
+    /// node's change counter.
     fn device_mut(&mut self, node: NodeId, tier: StorageTier) -> &mut Device {
+        self.changes[node.index()] += 1;
         self.nodes[node.index()].get_mut(tier)
     }
 
@@ -122,6 +174,7 @@ impl NodeManager {
     /// Marks a node down. Idempotence is the caller's problem: the DFS
     /// facade rejects double-failures before touching accounting.
     pub fn set_alive(&mut self, node: NodeId, alive: bool) {
+        self.changes[node.index()] += 1;
         self.alive[node.index()] = alive;
     }
 
@@ -293,5 +346,27 @@ mod tests {
         m.commit_reserved(NodeId(0), StorageTier::Memory, ByteSize::gb(4));
         let u = m.tier_utilization(StorageTier::Memory);
         assert!((u - 1.0 / 3.0).abs() < 1e-9, "utilization {u}");
+    }
+
+    #[test]
+    fn every_mutation_bumps_only_its_nodes_counter() {
+        let mut m = mgr();
+        let (n, t) = (NodeId(1), StorageTier::Ssd);
+        let steps: [&dyn Fn(&mut NodeManager); 7] = [
+            &|m| m.reserve(n, t, ByteSize::gb(2)).unwrap(),
+            &|m| m.commit_reserved(n, t, ByteSize::gb(1)),
+            &|m| m.release_reserved(n, t, ByteSize::gb(1)),
+            &|m| m.free_used(n, t, ByteSize::gb(1)),
+            &|m| m.io_started(n, t),
+            &|m| m.io_finished(n, t),
+            &|m| m.set_alive(n, false),
+        ];
+        for (i, step) in steps.iter().enumerate() {
+            let before = m.changes(n);
+            step(&mut m);
+            assert!(m.changes(n) > before, "step {i} did not bump");
+        }
+        assert_eq!(m.changes(NodeId(0)), 0);
+        assert_eq!(m.changes(NodeId(2)), 0);
     }
 }

@@ -119,15 +119,13 @@ pub fn execute_plan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempTree;
     use octo_backend_fs::{FsBackend, FsBackendConfig};
     use octo_common::{ByteSize, PerTier, SimTime};
     use octo_policies::{plan_moves, PlannerConfig};
-    use std::path::PathBuf;
 
-    fn tmp_base(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("octo-exec-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tmp_base(tag: &str) -> TempTree {
+        TempTree::new(&format!("octo-exec-{tag}"))
     }
 
     /// An overfull MEM tier drains through a real plan-execute round trip.

@@ -16,6 +16,8 @@ pub mod config;
 pub mod exec;
 pub mod lock;
 pub mod signals;
+#[cfg(test)]
+mod testdir;
 
 pub use config::OctoctlConfig;
 pub use exec::{execute_plan, tier_by_label, ExecReport, MoveOutcome};

@@ -127,11 +127,13 @@ impl Drop for PidLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testdir::TempTree;
 
-    fn tmp_lock(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("octo-lock-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d.join("octoctl.pid")
+    /// A lock path in a fresh directory, and the directory's guard.
+    fn tmp_lock(tag: &str) -> (TempTree, PathBuf) {
+        let d = TempTree::new(&format!("octo-lock-{tag}"));
+        let path = d.join("octoctl.pid");
+        (d, path)
     }
 
     /// A PID that is certainly dead: PID 1 is always alive on Linux, so
@@ -145,7 +147,7 @@ mod tests {
 
     #[test]
     fn exclusive_while_holder_lives() {
-        let path = tmp_lock("live");
+        let (_dir, path) = tmp_lock("live");
         let lock = PidLock::acquire(&path).unwrap();
         let info = PidLock::read(&path).unwrap();
         assert_eq!(info.pid, std::process::id());
@@ -158,7 +160,7 @@ mod tests {
 
     #[test]
     fn stale_lock_is_reclaimed() {
-        let path = tmp_lock("stale");
+        let (_dir, path) = tmp_lock("stale");
         let ghost = PidLock::acquire_as(&path, dead_pid()).unwrap();
         std::mem::forget(ghost); // simulate a crash: file stays, process gone
         let lock = PidLock::acquire(&path).unwrap();
@@ -168,7 +170,7 @@ mod tests {
 
     #[test]
     fn corrupt_lock_is_reclaimed() {
-        let path = tmp_lock("corrupt");
+        let (_dir, path) = tmp_lock("corrupt");
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
         std::fs::write(&path, "not json at all").unwrap();
         let _lock = PidLock::acquire(&path).unwrap();

@@ -4,11 +4,15 @@
 //! SIGTERM mid-move, reads recorded while the daemon runs, and the sweep
 //! of interrupted copies' temp files.
 
+#[path = "../src/testdir.rs"]
+mod testdir;
+
 use octoctl::config::OctoctlConfig;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
+use testdir::TempTree;
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_octoctl")
@@ -16,10 +20,9 @@ fn bin() -> &'static str {
 
 /// A fresh base dir + written config file. `mem_cap` bounds the memory
 /// tier; SSD/HDD are roomy so downgrades always have a destination.
-fn setup(tag: &str, mem_cap: u64, bandwidth: u64) -> (PathBuf, PathBuf) {
-    let base = std::env::temp_dir().join(format!("octoctl-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
+fn setup(tag: &str, mem_cap: u64, bandwidth: u64) -> (TempTree, PathBuf) {
+    let base = TempTree::new(&format!("octoctl-it-{tag}"));
+    std::fs::create_dir_all(&*base).unwrap();
     let mut cfg = OctoctlConfig::example(base.to_str().unwrap());
     cfg.mem_capacity_bytes = mem_cap;
     cfg.ssd_capacity_bytes = 100_000_000;
@@ -50,9 +53,8 @@ fn stdout_of(out: &std::process::Output) -> String {
 
 #[test]
 fn init_writes_a_loadable_config() {
-    let base = std::env::temp_dir().join(format!("octoctl-it-{}-init", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    std::fs::create_dir_all(&base).unwrap();
+    let base = TempTree::new("octoctl-it-init");
+    std::fs::create_dir_all(&*base).unwrap();
     let cfg_path = base.join("cfg.json");
     let out = octoctl(&[
         "init",
@@ -303,4 +305,37 @@ fn lock_holders_sweep_leftover_temp_files_and_other_commands_do_not() {
     assert!(out.status.success(), "{out:?}");
     assert!(!leftover.exists(), "plan --execute sweeps under its lock");
     assert!(base.join("mem/f.dat").exists(), "the payload is untouched");
+}
+
+#[test]
+fn status_and_plan_list_each_file_once_under_directory_link_cycles() {
+    let cases: [(&str, &[(&str, &str)]); 2] = [
+        ("up", &[("d/up", "..")]),
+        ("pair", &[("a/l", "../b"), ("b/l", "../a")]),
+    ];
+    for (tag, links) in cases {
+        let (base, cfg) = setup(&format!("cycle-{tag}"), 1_000_000, 0);
+        seed(&base, "ssd", "a/x.dat", 100);
+        seed(&base, "ssd", "b/y.dat", 200);
+        seed(&base, "ssd", "d/z.dat", 400);
+        for (link, target) in links {
+            let at = base.join("ssd").join(link);
+            std::fs::create_dir_all(at.parent().unwrap()).unwrap();
+            std::os::unix::fs::symlink(target, at).unwrap();
+        }
+        let cfg_s = cfg.to_str().unwrap();
+        let status = octoctl(&["status", "--config", cfg_s]);
+        assert!(status.status.success(), "{tag}: {status:?}");
+        let status = stdout_of(&status);
+        assert!(status.contains("\"files\":\"3\""), "{tag}: {status}");
+        assert!(
+            status.contains("\"ssd_used_bytes\":\"700\""),
+            "{tag}: {status}"
+        );
+        let plan = octoctl(&["plan", "--config", cfg_s, "--dry-run", "--json"]);
+        assert!(plan.status.success(), "{tag}: {plan:?}");
+        let plan = stdout_of(&plan);
+        assert!(plan.contains("\"files\":3"), "{tag}: {plan}");
+        assert!(plan.contains("\"used_bytes\":700"), "{tag}: {plan}");
+    }
 }

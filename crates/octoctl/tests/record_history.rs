@@ -9,12 +9,16 @@
 //! log, so any change to how reads are persisted or replayed that alters a
 //! decision fails here.
 
+#[path = "../src/testdir.rs"]
+mod testdir;
+
 use octo_backend_fs::FsBackend;
 use octo_common::{DetRng, SimTime};
 use octo_dfs::backend::StorageBackend;
 use octo_policies::plan_moves;
 use octoctl::{execute_plan, OctoctlConfig};
 use std::sync::atomic::AtomicBool;
+use testdir::TempTree;
 
 const FILES: [(&str, &str, usize); 14] = [
     ("mem", "plain/a.dat", 1500),
@@ -60,8 +64,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 #[test]
 fn fixed_history_plans_are_pinned_across_compactions_and_reopens() {
-    let base = std::env::temp_dir().join(format!("octoctl-history-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
+    let base = TempTree::new("octoctl-history");
     let mut cfg = OctoctlConfig::example(base.to_str().unwrap());
     cfg.mem_capacity_bytes = 6_500;
     cfg.ssd_capacity_bytes = 9_000;
@@ -109,7 +112,6 @@ fn fixed_history_plans_are_pinned_across_compactions_and_reopens() {
     }
     let backend = FsBackend::open(cfg.backend_config()).unwrap();
     let final_clock = backend.clock().as_millis();
-    let _ = std::fs::remove_dir_all(&base);
 
     assert!(
         up > 0 && down > 0,
