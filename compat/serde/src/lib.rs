@@ -110,6 +110,12 @@ pub trait Deserialize: Sized {
     fn deserialize(content: &Content) -> Result<Self, Error>;
 }
 
+impl Serialize for Content {
+    fn serialize(&self) -> Content {
+        self.clone()
+    }
+}
+
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn serialize(&self) -> Content {
         (**self).serialize()

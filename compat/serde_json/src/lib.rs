@@ -1,6 +1,8 @@
 //! Offline compatibility shim for the subset of `serde_json` this workspace
 //! uses: [`to_string`] and [`from_str`] over the sibling `serde` shim's
-//! [`Content`] data model.
+//! [`Content`] data model, and a pull [`Reader`] that reads a known shape
+//! without building a [`Content`] tree. Parse errors name the byte offset
+//! where parsing stopped.
 //!
 //! Output is standard JSON. Floats print with Rust's shortest-roundtrip
 //! formatting, so every finite `f64` (and any `f32` widened through `f64`)
@@ -23,16 +25,85 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
         bytes: s.as_bytes(),
         pos: 0,
     };
-    p.skip_ws();
     let content = p.parse_value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::msg(format!(
-            "trailing characters at offset {}",
-            p.pos
-        )));
-    }
+    p.finish()?;
     T::deserialize(&content)
+}
+
+/// A pull reader over JSON text, for a caller that knows the shape it
+/// expects and reads it token by token into its own types. Each method
+/// first skips whitespace. Strings unescape exactly as in [`from_str`],
+/// through the same tokenizer, and every error names a byte offset.
+pub struct Reader<'a> {
+    p: Parser<'a>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `bytes`. Text outside strings must be
+    /// ASCII, and each string valid UTF-8.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader {
+            p: Parser { bytes, pos: 0 },
+        }
+    }
+
+    /// Consumes the structural byte `b`, such as `{` or `,`.
+    pub fn expect(&mut self, b: u8) -> Result<(), Error> {
+        self.p.skip_ws();
+        self.p.expect(b)
+    }
+
+    /// Consumes the structural byte `b` if it comes next, and says whether
+    /// it did.
+    pub fn eat(&mut self, b: u8) -> bool {
+        self.p.skip_ws();
+        let next = self.p.peek() == Some(b);
+        if next {
+            self.p.pos += 1;
+        }
+        next
+    }
+
+    /// Consumes the object key `name`, written without escapes, and the
+    /// colon after it.
+    pub fn key(&mut self, name: &str) -> Result<(), Error> {
+        self.p.skip_ws();
+        let rest = &self.p.bytes[self.p.pos..];
+        let quoted = rest.len() > name.len() + 1
+            && rest[0] == b'"'
+            && rest[1..].starts_with(name.as_bytes())
+            && rest[name.len() + 1] == b'"';
+        if !quoted {
+            return Err(self.p.err(format_args!("expected key {name:?}")));
+        }
+        self.p.pos += name.len() + 2;
+        self.expect(b':')
+    }
+
+    /// Reads a string, unescaping it.
+    pub fn string(&mut self) -> Result<String, Error> {
+        self.p.skip_ws();
+        self.p.parse_string()
+    }
+
+    /// Reads an unsigned integer that fits a `u64`: digits only, with no
+    /// sign, fraction or exponent.
+    pub fn u64(&mut self) -> Result<u64, Error> {
+        self.p.skip_ws();
+        let at = self.p.pos;
+        if matches!(self.p.peek(), Some(b'0'..=b'9')) {
+            if let Content::U64(v) = self.p.parse_number()? {
+                return Ok(v);
+            }
+        }
+        self.p.pos = at;
+        Err(self.p.err("expected an unsigned integer"))
+    }
+
+    /// Checks that nothing but whitespace remains.
+    pub fn end(&mut self) -> Result<(), Error> {
+        self.p.finish()
+    }
 }
 
 // ------------------------------------------------------------------ printing
@@ -115,6 +186,21 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
+    /// An error about the text at the current offset.
+    fn err(&self, what: impl std::fmt::Display) -> Error {
+        Error::msg(format!("{what} at offset {}", self.pos))
+    }
+
+    /// Checks that nothing but whitespace remains.
+    fn finish(&mut self) -> Result<(), Error> {
+        self.skip_ws();
+        if self.pos == self.bytes.len() {
+            Ok(())
+        } else {
+            Err(self.err("trailing characters"))
+        }
+    }
+
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
@@ -134,10 +220,7 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(Error::msg(format!(
-                "expected {:?} at offset {}",
-                b as char, self.pos
-            )))
+            Err(self.err(format_args!("expected {:?}", b as char)))
         }
     }
 
@@ -176,12 +259,7 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             return Ok(Content::Seq(items));
                         }
-                        _ => {
-                            return Err(Error::msg(format!(
-                                "expected ',' or ']' at offset {}",
-                                self.pos
-                            )))
-                        }
+                        _ => return Err(self.err("expected ',' or ']'")),
                     }
                 }
             }
@@ -209,21 +287,12 @@ impl<'a> Parser<'a> {
                             self.pos += 1;
                             return Ok(Content::Map(entries));
                         }
-                        _ => {
-                            return Err(Error::msg(format!(
-                                "expected ',' or '}}' at offset {}",
-                                self.pos
-                            )))
-                        }
+                        _ => return Err(self.err("expected ',' or '}'")),
                     }
                 }
             }
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            other => Err(Error::msg(format!(
-                "unexpected {:?} at offset {}",
-                other.map(|b| b as char),
-                self.pos
-            ))),
+            other => Err(self.err(format_args!("unexpected {:?}", other.map(|b| b as char)))),
         }
     }
 
@@ -232,16 +301,14 @@ impl<'a> Parser<'a> {
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err(Error::msg("unterminated string")),
+                None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::msg("unterminated escape"))?;
+                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
                     self.pos += 1;
                     match esc {
                         b'"' => out.push('"'),
@@ -257,11 +324,11 @@ impl<'a> Parser<'a> {
                             let code = if (0xD800..0xDC00).contains(&hi) {
                                 // Surrogate pair.
                                 if !(self.eat_keyword("\\u")) {
-                                    return Err(Error::msg("unpaired surrogate"));
+                                    return Err(self.err("unpaired surrogate"));
                                 }
                                 let lo = self.parse_hex4()?;
                                 if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(Error::msg("invalid low surrogate"));
+                                    return Err(self.err("invalid low surrogate"));
                                 }
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
                             } else {
@@ -269,11 +336,11 @@ impl<'a> Parser<'a> {
                             };
                             out.push(
                                 char::from_u32(code)
-                                    .ok_or_else(|| Error::msg("invalid \\u escape"))?,
+                                    .ok_or_else(|| self.err("invalid \\u escape"))?,
                             );
                         }
                         other => {
-                            return Err(Error::msg(format!("invalid escape \\{}", other as char)))
+                            return Err(self.err(format_args!("invalid escape \\{}", other as char)))
                         }
                     }
                 }
@@ -287,7 +354,7 @@ impl<'a> Parser<'a> {
                         .position(|&b| b == b'"' || b == b'\\')
                         .unwrap_or(rest.len());
                     let run = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| Error::msg("invalid utf-8 in string"))?;
+                        .map_err(|_| self.err("invalid utf-8 in string"))?;
                     out.push_str(run);
                     self.pos += len;
                 }
@@ -297,12 +364,12 @@ impl<'a> Parser<'a> {
 
     fn parse_hex4(&mut self) -> Result<u32, Error> {
         if self.pos + 4 > self.bytes.len() {
-            return Err(Error::msg("truncated \\u escape"));
+            return Err(self.err("truncated \\u escape"));
         }
         let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| Error::msg("invalid \\u escape"))?;
+            .map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
-        u32::from_str_radix(hex, 16).map_err(|_| Error::msg("invalid \\u escape"))
+        u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))
     }
 
     fn parse_number(&mut self) -> Result<Content, Error> {
@@ -310,10 +377,17 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        // An unsigned integer's value, folded while scanning: what `text`
+        // parses to as a `u64`, or `None` once it overflows.
+        let mut unsigned = (self.pos == start).then_some(0u64);
         let mut is_float = false;
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => self.pos += 1,
+                b'0'..=b'9' => {
+                    let digit = u64::from(b - b'0');
+                    unsigned = unsigned.and_then(|v| v.checked_mul(10)?.checked_add(digit));
+                    self.pos += 1;
+                }
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
@@ -321,8 +395,11 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
+        if let (false, Some(v), true) = (is_float, unsigned, self.pos > start) {
+            return Ok(Content::U64(v));
+        }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| Error::msg("invalid number"))?;
+            .map_err(|_| self.err("invalid number"))?;
         if !is_float {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Content::U64(u));
@@ -333,7 +410,7 @@ impl<'a> Parser<'a> {
         }
         text.parse::<f64>()
             .map(Content::F64)
-            .map_err(|_| Error::msg(format!("invalid number {text:?}")))
+            .map_err(|_| self.err(format_args!("invalid number {text:?}")))
     }
 }
 
@@ -366,6 +443,33 @@ mod tests {
             let back: f32 = from_str(&s).unwrap();
             assert_eq!(back.to_bits(), bits, "{s}");
         }
+    }
+
+    #[test]
+    fn numbers_keep_their_kinds_at_the_edges() {
+        let parse = |text: &str| {
+            let mut p = Parser {
+                bytes: text.as_bytes(),
+                pos: 0,
+            };
+            p.parse_value().and_then(|c| p.finish().map(|()| c))
+        };
+        assert_eq!(parse("0"), Ok(Content::U64(0)));
+        assert_eq!(parse("007"), Ok(Content::U64(7)));
+        assert_eq!(parse("18446744073709551615"), Ok(Content::U64(u64::MAX)));
+        assert_eq!(
+            parse("18446744073709551616"),
+            Ok(Content::F64(18446744073709551616.0))
+        );
+        assert_eq!(parse("-0"), Ok(Content::I64(0)));
+        assert_eq!(parse("-9223372036854775808"), Ok(Content::I64(i64::MIN)));
+        assert_eq!(parse("1e3"), Ok(Content::F64(1000.0)));
+        assert_eq!(
+            parse("[7,8]"),
+            Ok(Content::Seq(vec![Content::U64(7), Content::U64(8)]))
+        );
+        assert!(parse("12-3").is_err());
+        assert!(parse("-").is_err());
     }
 
     #[test]
@@ -427,5 +531,44 @@ mod tests {
         assert!(from_str::<u64>("4 2").is_err());
         assert!(from_str::<u64>("{").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn reader_pulls_a_known_shape_and_names_offsets() {
+        let mut r = Reader::new(b" {\n\"k\" : [ \"a\\u00e9\\ud83d\\ude00\" , 7 ] } ");
+        r.expect(b'{').unwrap();
+        r.key("k").unwrap();
+        r.expect(b'[').unwrap();
+        assert_eq!(r.string().unwrap(), "aé😀");
+        assert!(r.eat(b','));
+        assert!(!r.eat(b','));
+        assert_eq!(r.u64().unwrap(), 7);
+        r.expect(b']').unwrap();
+        r.expect(b'}').unwrap();
+        r.end().unwrap();
+
+        let err = |text: &str, read: fn(&mut Reader) -> Result<(), Error>| {
+            read(&mut Reader::new(text.as_bytes())).unwrap_err().0
+        };
+        for bad in ["-1", "1.5", "1e3", "18446744073709551616", "\"7\"", ""] {
+            assert_eq!(
+                err(bad, |r| r.u64().map(drop)),
+                "expected an unsigned integer at offset 0",
+                "{bad:?}"
+            );
+        }
+        assert_eq!(
+            err(" \"kk\":", |r| r.key("k")),
+            "expected key \"k\" at offset 1"
+        );
+        assert_eq!(err("\"k\" 1", |r| r.key("k")), "expected ':' at offset 4");
+        assert_eq!(
+            err("\"a\\q\"", |r| r.string().map(drop)),
+            "invalid escape \\q at offset 4"
+        );
+        assert_eq!(
+            err("1 x", |r| r.u64().and_then(|_| r.end())),
+            "trailing characters at offset 2"
+        );
     }
 }

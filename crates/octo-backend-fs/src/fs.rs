@@ -5,12 +5,15 @@
 //! sort by path merges the tiers. A directory link is followed unless it
 //! resolves inside a tree the walk is already listing. The same walk sums
 //! each tier's used bytes, and `tier_status` answers from those sums until
-//! a copy or a delete runs, so one walk serves a whole planning cycle. Access
-//! statistics come from memory, where `FsBackend::open` loaded the
-//! snapshot and replayed the access log (see `log.rs`). Recording a read
-//! appends one log record.
+//! a copy or a delete runs, so one walk serves a whole planning cycle. An
+//! entry that holds no readable copy is skipped: one that vanished since
+//! `readdir`, a dangling link, or a link that never resolves, such as one
+//! to itself (`ELOOP`). Access statistics come from memory, where
+//! `FsBackend::open` loaded the snapshot and replayed the access log (see
+//! `log.rs`), and where `FsBackend::refresh` replays what other processes
+//! appended since. Recording a read appends one log record.
 
-use crate::log::AccessStats;
+use crate::log::{AccessStats, Refresh};
 use crate::sidecar::{sync_dir, StatsSidecar};
 use octo_common::{ByteSize, OctoError, PerTier, Result, SimTime, StorageTier};
 use octo_dfs::backend::{FileRecord, StorageBackend, TierStatus};
@@ -111,6 +114,17 @@ fn check_rel_path(path: &str) -> Result<()> {
     Ok(())
 }
 
+/// `ELOOP`: too many levels of symbolic links, as for a link to itself.
+/// `ErrorKind::FilesystemLoop` is not stable, so the raw code is matched.
+const ELOOP: i32 = if cfg!(target_os = "linux") { 40 } else { 62 };
+
+/// Whether `e`, from resolving a directory entry, means that the entry holds
+/// no readable copy: it vanished, it is a dangling link, or it is a link
+/// that never resolves.
+fn unreadable(e: &std::io::Error) -> bool {
+    e.kind() == ErrorKind::NotFound || e.raw_os_error() == Some(ELOOP)
+}
+
 /// Opens `dir` for listing. A subdirectory (`top` false) removed since its
 /// parent was read is `None`: it holds no readable copy. A missing tier
 /// root stays an error, so an unmounted tier never looks empty.
@@ -143,8 +157,9 @@ impl<'a> Listed<'a> {
 
     /// Where the directory link `link` leads, or `None` when that lies
     /// inside a tree the walk is already listing, whose files it lists
-    /// under their own paths, or when the link vanished. Following such a
-    /// link would list a file twice, and a link to an ancestor forever.
+    /// under their own paths, or when the link vanished or never resolves.
+    /// Following such a link would list a file twice, and a link to an
+    /// ancestor forever.
     fn follow(&mut self, link: &Path) -> Result<Option<PathBuf>> {
         if self.canonical_root.is_none() {
             let root =
@@ -153,7 +168,7 @@ impl<'a> Listed<'a> {
         }
         let target = match std::fs::canonicalize(link) {
             Ok(target) => target,
-            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            Err(e) if unreadable(&e) => return Ok(None),
             Err(e) => return Err(io_err("resolving", link, e)),
         };
         let listed = self
@@ -173,8 +188,9 @@ impl<'a> Listed<'a> {
 /// file is stat'ed relative to the open directory, and only a symbolic
 /// link is followed, as `std::fs::metadata` would, except a link to a
 /// directory inside a tree `listed` already covers. An entry that vanished
-/// since `readdir` returned it, or a dangling link, is skipped. `dir` is a
-/// tier root when `prefix` is empty, and then it must exist.
+/// since `readdir` returned it, a dangling link and a link that never
+/// resolves are skipped. `dir` is a tier root when `prefix` is empty, and
+/// then it must exist.
 fn walk(
     dir: &Path,
     prefix: &str,
@@ -217,7 +233,7 @@ fn walk(
             }
             Ok(meta) if meta.is_file() => found(rel, meta.len()),
             Ok(_) => {}
-            Err(e) if e.kind() == ErrorKind::NotFound => {}
+            Err(e) if unreadable(&e) => {}
             Err(e) => return Err(io_err("stat", &entry.path(), e)),
         }
     }
@@ -303,6 +319,24 @@ impl FsBackend {
     /// and every read recorded since.
     pub fn sidecar(&self) -> &StatsSidecar {
         self.stats.stats()
+    }
+
+    /// Catches up with the reads other processes recorded since this
+    /// backend last read the access log, and returns what it did. It
+    /// replays only the log's new tail, stopping before a trailing partial
+    /// record, unless a compaction replaced the snapshot or emptied the
+    /// log; then it reloads both in full. The tier sums of the last listing
+    /// are dropped too, so the backend then answers as a fresh
+    /// [`open`](FsBackend::open) would. Writes nothing.
+    pub fn refresh(&mut self) -> Result<Refresh> {
+        self.refresh_with(|| {})
+    }
+
+    /// [`refresh`](FsBackend::refresh), running `between` after the first
+    /// check of the snapshot and before the log is read.
+    fn refresh_with(&mut self, between: impl FnOnce()) -> Result<Refresh> {
+        self.observed.set(None);
+        self.stats.refresh(between)
     }
 
     /// Removes the `.octo-tmp.*` files an interrupted copy left under the
@@ -958,6 +992,90 @@ mod tests {
         }
     }
 
+    /// Asserts that `be` answers as a fresh open of its tree and state does.
+    fn assert_fresh(be: &FsBackend) -> std::result::Result<(), TestCaseError> {
+        let fresh = FsBackend::open(be.cfg.clone()).unwrap();
+        prop_assert_eq!(be.sidecar(), fresh.sidecar());
+        prop_assert_eq!(be.clock(), fresh.clock());
+        prop_assert_eq!(be.list_files().unwrap(), fresh.list_files().unwrap());
+        for tier in StorageTier::ALL {
+            prop_assert_eq!(used(be, tier), used(&fresh, tier));
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// One backend records, compacts and reopens, and the test cuts
+        /// records off mid-append; another, opened once, refreshes.
+        #[test]
+        fn a_refreshed_backend_equals_a_fresh_open(
+            ops in proptest::collection::vec((0u8..12, 0usize..6, 1usize..40), 1..60),
+        ) {
+            let base = tmp_base("refresh");
+            let cfg = small_cfg(&base);
+            for (i, (tier, path)) in AWKWARD.into_iter().take(6).enumerate() {
+                seed(&cfg, tier, path, &vec![b'r'; 10 + i]);
+            }
+            let log = cfg.state_dir.join("octostats.log");
+            let append = |bytes: &[u8]| {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&log)
+                    .and_then(|mut f| f.write_all(bytes))
+                    .unwrap();
+            };
+            let mut writer = FsBackend::open(cfg.clone()).unwrap();
+            let mut reader = FsBackend::open(cfg.clone()).unwrap();
+            let mut clock = 1_000u64;
+            let mut record = |writer: &mut FsBackend, pick: usize, n: usize| {
+                for k in 0..n {
+                    clock += 100;
+                    let path = AWKWARD[(pick + k) % 6].1;
+                    writer.record_read(path, SimTime::from_millis(clock)).unwrap();
+                }
+            };
+            // The rest of the record the last cut left unwritten.
+            let mut unwritten = Vec::new();
+            for (op, pick, n) in ops {
+                match op {
+                    0 => writer.stats.compact().unwrap(),
+                    1 => writer = FsBackend::open(cfg.clone()).unwrap(),
+                    2 => {
+                        let e = crate::sidecar::SidecarEntry {
+                            reads: n as u64,
+                            last_access_ms: 500 * n as u64,
+                        };
+                        let rec = crate::log::encode(AWKWARD[pick].1, e).unwrap();
+                        let cut = 1 + n % (rec.len() - 1);
+                        append(&rec[..cut]);
+                        unwritten = rec[cut..].to_vec();
+                    }
+                    3 => append(&std::mem::take(&mut unwritten)),
+                    4 | 5 => {
+                        reader.refresh().unwrap();
+                        assert_fresh(&reader)?;
+                    }
+                    6 => {
+                        reader
+                            .refresh_with(|| {
+                                record(&mut writer, pick, n % 4);
+                                writer.stats.compact().unwrap();
+                                record(&mut writer, pick, n);
+                            })
+                            .unwrap();
+                        assert_fresh(&reader)?;
+                    }
+                    _ => record(&mut writer, pick, n),
+                }
+            }
+            reader.refresh().unwrap();
+            assert_fresh(&reader)?;
+        }
+    }
+
     #[test]
     fn tier_status_answers_from_the_latest_listing() {
         let base = tmp_base("observe");
@@ -1035,9 +1153,10 @@ mod tests {
     fn directory_links_into_a_listed_tree_are_not_followed() {
         // Links under the SSD root, each a relative target, and the real
         // files there. `ext` leads out of the roots to a tree holding a
-        // link to itself.
+        // link to itself. `self` and `loop` never resolve: `stat` fails on
+        // them with `ELOOP`.
         type Case<'a> = (&'a str, &'a [(&'a str, &'a str)], &'a [&'a str]);
-        let cases: [Case; 3] = [
+        let cases: [Case; 5] = [
             ("up", &[("d/up", "..")], &["d/x.dat", "top.dat"]),
             (
                 "pair",
@@ -1045,6 +1164,8 @@ mod tests {
                 &["a/x.dat", "b/y.dat"],
             ),
             ("ext", &[("ext", "../outside")], &["a.dat", "ext/z.dat"]),
+            ("self", &[("x", "x")], &["real.dat"]),
+            ("loop", &[("a", "b"), ("b", "a")], &["real.dat"]),
         ];
         let planner = octo_policies::PlannerConfig::default();
         for (tag, links, files) in cases {

@@ -14,19 +14,23 @@
 //! once, stats only files (relative to their open directory), and merges
 //! the tiers with one sort by path. The same walk sums each tier's used
 //! bytes, and `tier_status` answers from those sums until the backend
-//! next copies or deletes. An entry that vanishes during a walk, or a
-//! dangling symlink, holds no readable copy and is skipped; a missing tier
-//! root is an error, so an unmounted tier never looks empty. A link to a
-//! directory inside a tree the walk is already listing is not followed,
-//! so a link cycle lists each file once instead of failing with `ELOOP`.
+//! next copies or deletes. An entry that vanishes during a walk, a
+//! dangling symlink or one that resolves to itself holds no readable copy
+//! and is skipped; a missing tier root is an error, so an unmounted tier
+//! never looks empty. A link to a directory inside a tree the walk is
+//! already listing is not followed, so a link cycle lists each file once
+//! instead of failing with `ELOOP`.
 //!
 //! The statistics are a JSON snapshot, `octostats.json`, plus an
 //! append-only access log beside it, `octostats.log`. Recording a read
 //! appends one checksummed record holding the file's new read count and
 //! newest access; only a compaction (below) rewrites the snapshot, so the
-//! cost of a read does not grow with the number of files. Opening loads the snapshot and replays
-//! the log, skipping torn or corrupt records, and writes nothing. The
-//! read that brings the log to as many records as the snapshot has
+//! cost of a read does not grow with the number of files. Opening reads
+//! the snapshot straight into memory, replays the log, skipping torn or
+//! corrupt records, and writes nothing. `FsBackend::refresh` catches an
+//! open backend up by replaying only the log's new tail; it reloads in
+//! full only when a compaction replaced the snapshot or emptied the log.
+//! The read that brings the log to as many records as the snapshot has
 //! entries (1,024 at the least) folds it into a new snapshot and empties
 //! it.
 //!
@@ -51,4 +55,5 @@ mod sidecar;
 mod testdir;
 
 pub use fs::{FsBackend, FsBackendConfig};
+pub use log::Refresh;
 pub use sidecar::{SidecarEntry, StatsSidecar};

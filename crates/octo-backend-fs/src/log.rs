@@ -15,7 +15,18 @@
 //! record twice, in any order, or over a snapshot that already holds it
 //! gives the same stats. A byte that starts no whole, checksummed record is
 //! skipped, so a torn tail or a flipped byte loses only the records it
-//! touches. Opening replays without writing anything.
+//! touches.
+//!
+//! [`AccessStats::refresh`] catches up with what other processes wrote: it
+//! replays only the log bytes appended since it last read the log. It
+//! stops before a trailing partial record, which may be an append still in
+//! flight, so the next refresh reads that record whole. It reloads the
+//! snapshot and replays the whole log instead when a compaction replaced
+//! the snapshot (its inode, length or modification time changed) or
+//! emptied the log (the log is shorter than what was read of it). It checks
+//! the snapshot both before and after reading the log, so a compaction that
+//! lands in between is seen too. Opening is a refresh from the empty state,
+//! so there is one replay path, and it writes nothing.
 //!
 //! The record that brings the log to as many records as the snapshot has
 //! entries (and at least [`COMPACT_FLOOR`]) compacts: the in-memory stats
@@ -26,9 +37,9 @@
 //! compaction has written.
 
 use crate::fs::{fnv1a, io_err, FNV1A_EMPTY};
-use crate::sidecar::{SidecarEntry, StatsSidecar};
+use crate::sidecar::{SidecarEntry, SnapshotId, StatsSidecar};
 use octo_common::{OctoError, Result};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 
 /// File name of the access log, beside the snapshot.
@@ -43,7 +54,7 @@ fn u64_at(bytes: &[u8], at: usize) -> u64 {
 }
 
 /// The record of `path`'s entry `e`.
-fn encode(path: &str, e: SidecarEntry) -> Result<Vec<u8>> {
+pub(crate) fn encode(path: &str, e: SidecarEntry) -> Result<Vec<u8>> {
     let len = u32::try_from(path.len())
         .map_err(|_| OctoError::InvalidArgument(format!("path of {} bytes", path.len())))?;
     let mut rec = Vec::with_capacity(path.len() + 28);
@@ -56,22 +67,39 @@ fn encode(path: &str, e: SidecarEntry) -> Result<Vec<u8>> {
     Ok(rec)
 }
 
-/// The whole, checksummed record at the start of `bytes`, if there is
-/// one: its path, entry and length in bytes.
-fn decode(bytes: &[u8]) -> Option<(&str, SidecarEntry, usize)> {
-    let len = u32::from_le_bytes(bytes.get(..4)?.try_into().ok()?) as usize;
+/// What the bytes at some offset of the log hold.
+enum Decoded<'a> {
+    /// A whole, checksummed record: its path, entry and length in bytes.
+    Record(&'a str, SidecarEntry, usize),
+    /// Fewer bytes than a record needs, or than its length prefix
+    /// announces: an append still in flight, or one a crash cut short.
+    Partial,
+    /// No record.
+    Garbage,
+}
+
+/// What starts at the beginning of `bytes`.
+fn decode(bytes: &[u8]) -> Decoded<'_> {
+    let Some(prefix) = bytes.first_chunk::<4>() else {
+        return Decoded::Partial;
+    };
+    let len = u32::from_le_bytes(*prefix) as usize;
     // Length, path, reads and last access; the checksum follows.
-    let body = len.checked_add(20)?;
-    let rec = bytes.get(..body.checked_add(8)?)?;
+    let body = len.saturating_add(20);
+    let Some(rec) = bytes.get(..body.saturating_add(8)) else {
+        return Decoded::Partial;
+    };
     if fnv1a(FNV1A_EMPTY, &rec[..body]) != u64_at(rec, body) {
-        return None;
+        return Decoded::Garbage;
     }
-    let path = std::str::from_utf8(&rec[4..4 + len]).ok()?;
+    let Ok(path) = std::str::from_utf8(&rec[4..4 + len]) else {
+        return Decoded::Garbage;
+    };
     let e = SidecarEntry {
         reads: u64_at(rec, 4 + len),
         last_access_ms: u64_at(rec, 12 + len),
     };
-    Some((path, e, rec.len()))
+    Decoded::Record(path, e, rec.len())
 }
 
 /// Merges `rec` into `path`'s entry field by field with `max`.
@@ -87,20 +115,41 @@ fn merge(stats: &mut StatsSidecar, path: &str, rec: SidecarEntry) {
     }
 }
 
-/// Merges every record found in `log` into `stats`, skipping bytes that
-/// start none, and returns how many it merged.
-fn replay(log: &[u8], stats: &mut StatsSidecar) -> usize {
-    let (mut at, mut merged) = (0, 0);
+/// Merges every record found in `log` into `stats` and the clock `clock_ms`,
+/// skipping bytes that start none. Returns how many records it merged and
+/// how many bytes of `log` need no second look: all of them, except from
+/// the first offset after the last record at which a partial record
+/// starts. Appended bytes can complete a record there, never before it.
+fn replay(log: &[u8], stats: &mut StatsSidecar, clock_ms: &mut u64) -> (usize, usize) {
+    let (mut at, mut merged, mut partial) = (0, 0, None);
     while at < log.len() {
-        let Some((path, rec, len)) = decode(&log[at..]) else {
-            at += 1;
-            continue;
-        };
-        merge(stats, path, rec);
-        at += len;
-        merged += 1;
+        match decode(&log[at..]) {
+            Decoded::Record(path, rec, len) => {
+                merge(stats, path, rec);
+                *clock_ms = (*clock_ms).max(rec.last_access_ms);
+                at += len;
+                merged += 1;
+                partial = None;
+            }
+            Decoded::Partial => {
+                partial.get_or_insert(at);
+                at += 1;
+            }
+            Decoded::Garbage => at += 1,
+        }
     }
-    merged
+    (merged, partial.unwrap_or(log.len()))
+}
+
+/// What one [`FsBackend::refresh`](crate::FsBackend::refresh) did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Refresh {
+    /// Whether it reloaded the snapshot and replayed the whole log, because
+    /// a compaction had replaced the snapshot or emptied the log, instead of
+    /// replaying only the log's new tail.
+    pub reloaded: bool,
+    /// Log records it replayed.
+    pub records: usize,
 }
 
 /// Access statistics in memory, persisted as a snapshot plus a log.
@@ -111,6 +160,12 @@ pub(crate) struct AccessStats {
     clock_ms: u64,
     snapshot_path: PathBuf,
     log_path: PathBuf,
+    /// The version of the snapshot `stats` started from, or that this
+    /// process last wrote; `None` for no snapshot.
+    snapshot: Option<SnapshotId>,
+    /// Bytes at the start of the log that `stats` holds: where the next
+    /// refresh starts reading.
+    log_read: u64,
     /// Entries the snapshot held when it was loaded or last written.
     snapshot_entries: usize,
     /// Records in the log.
@@ -120,27 +175,104 @@ pub(crate) struct AccessStats {
 }
 
 impl AccessStats {
-    /// Loads the snapshot at `snapshot_path` and replays the log beside it.
-    /// Writes nothing.
+    /// Loads the snapshot at `snapshot_path` and replays the log beside it:
+    /// a refresh from the empty state. Writes nothing.
     pub(crate) fn open(snapshot_path: PathBuf) -> Result<AccessStats> {
-        let log_path = snapshot_path.with_file_name(LOG_FILE);
-        let mut stats = StatsSidecar::load(&snapshot_path)?;
-        let snapshot_entries = stats.entries.len();
-        let log_records = match std::fs::read(&log_path) {
-            Ok(bytes) => replay(&bytes, &mut stats),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-            Err(e) => return Err(io_err("reading access log", &log_path, e)),
-        };
-        let clock_ms = stats.entries.values().map(|e| e.last_access_ms).max();
-        Ok(AccessStats {
-            stats,
-            clock_ms: clock_ms.unwrap_or(0),
+        let mut stats = AccessStats {
+            stats: StatsSidecar::default(),
+            clock_ms: 0,
+            log_path: snapshot_path.with_file_name(LOG_FILE),
             snapshot_path,
-            log_path,
-            snapshot_entries,
-            log_records,
+            snapshot: None,
+            log_read: 0,
+            snapshot_entries: 0,
+            log_records: 0,
             log: None,
-        })
+        };
+        stats.refresh(|| {})?;
+        Ok(stats)
+    }
+
+    /// Catches up with the snapshot and the log on disk: replays the log
+    /// bytes appended since the last read, or reloads in full when a
+    /// compaction replaced the snapshot or emptied the log. `between` runs
+    /// once, after the first check of the snapshot and before the log is
+    /// read: the window in which a test compacts from another backend.
+    /// Writes nothing.
+    pub(crate) fn refresh(&mut self, between: impl FnOnce()) -> Result<Refresh> {
+        let mut between = Some(between);
+        let mut done = Refresh {
+            reloaded: false,
+            records: 0,
+        };
+        let mut reload = SnapshotId::of(&self.snapshot_path)? != self.snapshot;
+        loop {
+            if reload {
+                self.reload()?;
+                done = Refresh {
+                    reloaded: true,
+                    records: 0,
+                };
+            }
+            if let Some(between) = between.take() {
+                between();
+            }
+            // Each pass after the first follows a compaction by another
+            // process, so this ends unless compactions keep landing within
+            // one reload.
+            let Some(records) = self.replay_tail()? else {
+                reload = true;
+                continue;
+            };
+            done.records += records;
+            reload = SnapshotId::of(&self.snapshot_path)? != self.snapshot;
+            if !reload {
+                return Ok(done);
+            }
+        }
+    }
+
+    /// Replaces the in-memory stats with the snapshot on disk, to which
+    /// the whole log is still to be replayed.
+    fn reload(&mut self) -> Result<()> {
+        let (stats, version) = StatsSidecar::load_version(&self.snapshot_path)?;
+        self.clock_ms = stats
+            .entries
+            .values()
+            .map(|e| e.last_access_ms)
+            .max()
+            .unwrap_or(0);
+        self.snapshot_entries = stats.entries.len();
+        self.stats = stats;
+        self.snapshot = version;
+        self.log_read = 0;
+        self.log_records = 0;
+        Ok(())
+    }
+
+    /// Replays the log from where the last read stopped, and returns how
+    /// many records it merged; `None` when the log is shorter than that, as
+    /// after a compaction emptied it.
+    fn replay_tail(&mut self) -> Result<Option<usize>> {
+        let err = |e| io_err("reading access log", &self.log_path, e);
+        let mut log = match std::fs::File::open(&self.log_path) {
+            Ok(log) => log,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((self.log_read == 0).then_some(0));
+            }
+            Err(e) => return Err(err(e)),
+        };
+        let len = log.metadata().map_err(err)?.len();
+        if len < self.log_read {
+            return Ok(None);
+        }
+        log.seek(SeekFrom::Start(self.log_read)).map_err(err)?;
+        let mut tail = Vec::with_capacity(usize::try_from(len - self.log_read).unwrap_or(0));
+        log.read_to_end(&mut tail).map_err(err)?;
+        let (merged, read) = replay(&tail, &mut self.stats, &mut self.clock_ms);
+        self.log_read += read as u64;
+        self.log_records += merged;
+        Ok(Some(merged))
     }
 
     /// Every path's statistics.
@@ -174,6 +306,14 @@ impl AccessStats {
         };
         log.write_all(&rec)
             .map_err(|e| io_err("appending to access log", &self.log_path, e))?;
+        // When the record starts where the last refresh stopped reading,
+        // nothing unread lies before it and the next refresh can skip it.
+        let end = log
+            .stream_position()
+            .map_err(|e| io_err("appending to access log", &self.log_path, e))?;
+        if end == self.log_read + rec.len() as u64 {
+            self.log_read = end;
+        }
         merge(&mut self.stats, path, new);
         self.clock_ms = self.clock_ms.max(now_ms);
         self.log_records += 1;
@@ -185,8 +325,9 @@ impl AccessStats {
 
     /// Writes the in-memory stats as the new snapshot, then empties the
     /// log.
-    fn compact(&mut self) -> Result<()> {
+    pub(crate) fn compact(&mut self) -> Result<()> {
         self.stats.save(&self.snapshot_path)?;
+        self.snapshot = SnapshotId::of(&self.snapshot_path)?;
         self.snapshot_entries = self.stats.entries.len();
         match std::fs::OpenOptions::new().write(true).open(&self.log_path) {
             Ok(log) => log
@@ -195,6 +336,7 @@ impl AccessStats {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("opening access log", &self.log_path, e)),
         }
+        self.log_read = 0;
         self.log_records = 0;
         Ok(())
     }
@@ -319,6 +461,124 @@ mod tests {
         let back = AccessStats::open(snap_path).unwrap();
         assert_eq!(back.stats(), store.stats());
         assert_eq!(back.clock_ms(), store.clock_ms());
+    }
+
+    fn append(log_path: &std::path::Path, bytes: &[u8]) {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(log_path)
+            .unwrap()
+            .write_all(bytes)
+            .unwrap();
+    }
+
+    /// Asserts that `store` holds what a fresh open of its files does.
+    fn assert_fresh(store: &AccessStats, what: &str) {
+        let fresh = AccessStats::open(store.snapshot_path.clone()).unwrap();
+        assert_eq!(store.stats(), fresh.stats(), "{what}");
+        assert_eq!(store.clock_ms(), fresh.clock_ms(), "{what}");
+    }
+
+    #[test]
+    fn a_refresh_replays_the_new_tail_and_waits_for_a_partial_record() {
+        let dir = tmp_dir("tail");
+        let snap_path = dir.join("octostats.json");
+        let log_path = snap_path.with_file_name(LOG_FILE);
+        let mut snap = StatsSidecar::default();
+        snap.record_read(PATHS[0], 500);
+        snap.save(&snap_path).unwrap();
+        let mut writer = AccessStats::open(snap_path.clone()).unwrap();
+        let mut reader = AccessStats::open(snap_path.clone()).unwrap();
+        let tail = |records| Refresh {
+            reloaded: false,
+            records,
+        };
+
+        for (k, path) in PATHS.iter().take(3).enumerate() {
+            writer.record(path, 1_000 + k as u64).unwrap();
+        }
+        assert_eq!(reader.refresh(|| {}).unwrap(), tail(3));
+        assert_eq!(reader.stats(), writer.stats());
+        assert_fresh(&reader, "after three records");
+        assert_eq!(reader.refresh(|| {}).unwrap(), tail(0), "nothing new");
+
+        // An append in flight, cut at every byte: the refresh merges nothing
+        // and reads the record whole once its last byte lands.
+        let rec = encode(
+            PATHS[5],
+            SidecarEntry {
+                reads: 7,
+                last_access_ms: 9_000,
+            },
+        )
+        .unwrap();
+        for cut in 1..rec.len() {
+            append(&log_path, &rec[..cut]);
+            assert_eq!(reader.refresh(|| {}).unwrap(), tail(0), "cut at {cut}");
+            assert_fresh(&reader, "a partial record");
+            append(&log_path, &rec[cut..]);
+            assert_eq!(reader.refresh(|| {}).unwrap(), tail(1), "cut at {cut}");
+            assert_eq!(reader.stats().entries[PATHS[5]].reads, 7);
+            assert_eq!(reader.clock_ms(), 9_000);
+            assert_fresh(&reader, "a completed record");
+        }
+
+        // A record a crash cut short, then more appends: the refresh skips
+        // the torn bytes and reads the records after them.
+        append(&log_path, &rec[..rec.len() / 2]);
+        assert_eq!(reader.refresh(|| {}).unwrap(), tail(0));
+        writer.record(PATHS[1], 12_000).unwrap();
+        writer.record(PATHS[2], 13_000).unwrap();
+        assert_eq!(reader.refresh(|| {}).unwrap(), tail(2));
+        assert_fresh(&reader, "after a torn record");
+        assert_eq!(reader.clock_ms(), 13_000);
+    }
+
+    #[test]
+    fn a_refresh_reloads_after_a_compaction_even_one_that_lands_mid_refresh() {
+        let dir = tmp_dir("reload");
+        let snap_path = dir.join("octostats.json");
+        let log_path = snap_path.with_file_name(LOG_FILE);
+        let mut writer = AccessStats::open(snap_path.clone()).unwrap();
+        let mut reader = AccessStats::open(snap_path.clone()).unwrap();
+        let mut at = 1_000;
+        let mut record = |writer: &mut AccessStats, n: usize| {
+            for k in 0..n {
+                writer.record(PATHS[k % PATHS.len()], at).unwrap();
+                at += 100;
+            }
+        };
+
+        // Compactions between refreshes, with more records after them than
+        // the reader had read before.
+        record(&mut writer, 3);
+        reader.refresh(|| {}).unwrap();
+        record(&mut writer, 2);
+        writer.compact().unwrap();
+        record(&mut writer, 5);
+        let done = reader.refresh(|| {}).unwrap();
+        assert_eq!((done.reloaded, done.records), (true, 5));
+        assert_eq!(reader.stats(), writer.stats());
+        assert_fresh(&reader, "after a compaction");
+
+        // The same, landing after the reader first checked the snapshot.
+        record(&mut writer, 4);
+        let done = reader
+            .refresh(|| {
+                record(&mut writer, 2);
+                writer.compact().unwrap();
+                record(&mut writer, 6);
+            })
+            .unwrap();
+        assert_eq!((done.reloaded, done.records), (true, 6));
+        assert_eq!(reader.stats(), writer.stats());
+        assert_fresh(&reader, "after a compaction mid-refresh");
+
+        // A log emptied under the reader, with the snapshot unchanged.
+        std::fs::write(&log_path, b"").unwrap();
+        assert!(reader.refresh(|| {}).unwrap().reloaded);
+        assert_fresh(&reader, "after the log was emptied");
     }
 
     proptest! {

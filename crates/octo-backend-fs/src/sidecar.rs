@@ -8,11 +8,19 @@
 //! the snapshot only when it compacts that log. [`StatsSidecar::save`] is
 //! durable: a crash mid-save leaves the previous snapshot whole, and a
 //! returned save survives a power loss.
+//!
+//! [`StatsSidecar::load`] reads exactly the text `save` writes, with any
+//! JSON whitespace between tokens, straight into the map through the JSON
+//! shim's pull reader: one `String` per entry and no intermediate tree.
+//! Any other text is a corrupt snapshot, reported with its byte offset.
+//! The derived `Deserialize` stays as the reference the tests check that
+//! reader against.
 
 use octo_common::{OctoError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::io::Write;
+use std::io::{Read, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::Path;
 
 /// Recorded access statistics of one file.
@@ -33,19 +41,107 @@ pub struct StatsSidecar {
     pub entries: BTreeMap<String, SidecarEntry>,
 }
 
+/// Which version of the snapshot file was read. A compaction renames a new
+/// file over the snapshot, which changes its inode and, in practice, its
+/// length or modification time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SnapshotId {
+    ino: u64,
+    len: u64,
+    mtime: (i64, i64),
+}
+
+impl SnapshotId {
+    fn of_meta(m: &std::fs::Metadata) -> SnapshotId {
+        SnapshotId {
+            ino: m.ino(),
+            len: m.len(),
+            mtime: (m.mtime(), m.mtime_nsec()),
+        }
+    }
+
+    /// The version of the snapshot at `path`; `None` when there is none.
+    pub(crate) fn of(path: &Path) -> Result<Option<SnapshotId>> {
+        match std::fs::metadata(path) {
+            Ok(m) => Ok(Some(SnapshotId::of_meta(&m))),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(read_err(path, e)),
+        }
+    }
+}
+
+fn read_err(path: &Path, e: std::io::Error) -> OctoError {
+    OctoError::InvalidState(format!("reading stats sidecar {}: {e}", path.display()))
+}
+
+/// Reads `{"entries":[["<path>",{"reads":<u64>,"last_access_ms":<u64>}],…]}`,
+/// the text [`StatsSidecar::save`] writes, allowing JSON whitespace between
+/// tokens. As in the derived `Deserialize`, a path listed twice keeps its
+/// last entry.
+fn parse(bytes: &[u8]) -> std::result::Result<StatsSidecar, serde::Error> {
+    let mut r = serde_json::Reader::new(bytes);
+    r.expect(b'{')?;
+    r.key("entries")?;
+    r.expect(b'[')?;
+    let mut entries = Vec::new();
+    if !r.eat(b']') {
+        loop {
+            r.expect(b'[')?;
+            let path = r.string()?;
+            r.expect(b',')?;
+            r.expect(b'{')?;
+            r.key("reads")?;
+            let reads = r.u64()?;
+            r.expect(b',')?;
+            r.key("last_access_ms")?;
+            let last_access_ms = r.u64()?;
+            r.expect(b'}')?;
+            r.expect(b']')?;
+            entries.push((
+                path,
+                SidecarEntry {
+                    reads,
+                    last_access_ms,
+                },
+            ));
+            if !r.eat(b',') {
+                break;
+            }
+        }
+        r.expect(b']')?;
+    }
+    r.expect(b'}')?;
+    r.end()?;
+    // Sorted input, as `save` writes it, builds the map in one pass.
+    Ok(StatsSidecar {
+        entries: entries.into_iter().collect(),
+    })
+}
+
 impl StatsSidecar {
     /// Loads a sidecar; a missing file is an empty sidecar.
     pub fn load(path: &Path) -> Result<StatsSidecar> {
-        match std::fs::read_to_string(path) {
-            Ok(text) => serde_json::from_str(&text).map_err(|e| {
-                OctoError::InvalidState(format!("corrupt stats sidecar {}: {e}", path.display()))
-            }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(StatsSidecar::default()),
-            Err(e) => Err(OctoError::InvalidState(format!(
-                "reading stats sidecar {}: {e}",
-                path.display()
-            ))),
-        }
+        Ok(StatsSidecar::load_version(path)?.0)
+    }
+
+    /// Loads a sidecar and the version of the file it read; a missing file
+    /// is an empty sidecar and no version.
+    pub(crate) fn load_version(path: &Path) -> Result<(StatsSidecar, Option<SnapshotId>)> {
+        let mut file = match std::fs::File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok((StatsSidecar::default(), None))
+            }
+            Err(e) => return Err(read_err(path, e)),
+        };
+        let meta = file.metadata().map_err(|e| read_err(path, e))?;
+        let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
+        file.read_to_end(&mut bytes)
+            .map_err(|e| read_err(path, e))?;
+        let stats = parse(&bytes).map_err(|e| {
+            OctoError::InvalidState(format!("corrupt stats sidecar {}: {e}", path.display()))
+        })?;
+        Ok((stats, Some(SnapshotId::of_meta(&meta))))
     }
 
     /// Saves atomically and durably: write a dot-prefixed temp file and
@@ -110,6 +206,8 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
 mod tests {
     use super::*;
     use crate::testdir::TempTree;
+    use octo_common::DetRng;
+    use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> TempTree {
         let d = TempTree::new(&format!("octo-sidecar-{tag}"));
@@ -169,6 +267,251 @@ mod tests {
         let path = dir.join("octostats.json");
         assert_eq!(StatsSidecar::load(&path).unwrap(), StatsSidecar::default());
         std::fs::write(&path, "{not json").unwrap();
-        assert!(StatsSidecar::load(&path).is_err());
+        let err = StatsSidecar::load(&path).unwrap_err().to_string();
+        assert!(
+            err.contains("corrupt stats sidecar") && err.contains("at offset 1"),
+            "{err}"
+        );
+    }
+
+    /// Paths a shell or a JSON writer trips over, one of each kind.
+    const ADVERSARIAL: [&str; 10] = [
+        "plain/a.dat",
+        "q\"uote\".dat",
+        "back\\slash",
+        "new\nline\r",
+        "tab\t\u{8}\u{c}",
+        "ctl\u{1}\u{1f}\u{7f}",
+        "données/π",
+        "emoji 😀",
+        "sep\u{2028}/x",
+        "slash/",
+    ];
+
+    fn adversarial() -> StatsSidecar {
+        let mut s = StatsSidecar::default();
+        for (i, path) in ADVERSARIAL.into_iter().enumerate() {
+            let i = i as u64;
+            let last_access_ms = if i == 3 { u64::MAX } else { i * 1_000 };
+            s.entries.insert(
+                path.to_string(),
+                SidecarEntry {
+                    reads: i,
+                    last_access_ms,
+                },
+            );
+        }
+        s
+    }
+
+    /// Reads `bytes` and checks the answer is the reference's, or an error
+    /// that names its offset.
+    fn check_against_reference(bytes: &[u8]) -> std::result::Result<StatsSidecar, String> {
+        let reference = std::str::from_utf8(bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|text| serde_json::from_str::<StatsSidecar>(text).map_err(|e| e.0));
+        match parse(bytes) {
+            Ok(read) => {
+                assert_eq!(
+                    Ok(&read),
+                    reference.as_ref(),
+                    "the reader accepted {:?}",
+                    String::from_utf8_lossy(bytes)
+                );
+                Ok(read)
+            }
+            Err(e) => {
+                assert!(e.0.contains(" at offset "), "{e}");
+                Err(e.0)
+            }
+        }
+    }
+
+    #[test]
+    fn save_writes_the_bytes_it_always_wrote() {
+        let dir = tmp_dir("bytes");
+        let path = dir.join("octostats.json");
+        adversarial().save(&path).unwrap();
+        let want = concat!(
+            r#"{"entries":[["back\\slash",{"reads":2,"last_access_ms":2000}],"#,
+            "[\"ctl\\u0001\\u001f\u{7f}\",{\"reads\":5,\"last_access_ms\":5000}],",
+            r#"["données/π",{"reads":6,"last_access_ms":6000}],"#,
+            r#"["emoji 😀",{"reads":7,"last_access_ms":7000}],"#,
+            r#"["new\nline\r",{"reads":3,"last_access_ms":18446744073709551615}],"#,
+            r#"["plain/a.dat",{"reads":0,"last_access_ms":0}],"#,
+            r#"["q\"uote\".dat",{"reads":1,"last_access_ms":1000}],"#,
+            "[\"sep\u{2028}/x\",{\"reads\":8,\"last_access_ms\":8000}],",
+            r#"["slash/",{"reads":9,"last_access_ms":9000}],"#,
+            r#"["tab\t\b\f",{"reads":4,"last_access_ms":4000}]]}"#,
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), want);
+        assert_eq!(StatsSidecar::load(&path).unwrap(), adversarial());
+    }
+
+    #[test]
+    fn every_truncation_and_byte_corruption_reads_as_the_reference_or_fails() {
+        let dir = tmp_dir("corrupt");
+        let path = dir.join("octostats.json");
+        let mut small = StatsSidecar::default();
+        for path in ["q\"\\", "π\n", "😀"] {
+            small.record_read(path, 42);
+        }
+        small.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(check_against_reference(&bytes), Ok(small));
+        for cut in 0..bytes.len() {
+            assert!(
+                check_against_reference(&bytes[..cut]).is_err(),
+                "cut at {cut}"
+            );
+        }
+        let mut accepted = 0;
+        for at in 0..bytes.len() {
+            for b in 0..=u8::MAX {
+                let mut bad = bytes.clone();
+                bad[at] = b;
+                accepted += usize::from(check_against_reference(&bad).is_ok());
+            }
+        }
+        // Whitespace, digits and string contents can change and still parse.
+        assert!(accepted > bytes.len(), "{accepted}");
+    }
+
+    /// Characters the random paths draw from: JSON's escaped characters,
+    /// control characters, and text of one to four UTF-8 bytes.
+    const PALETTE: [char; 16] = [
+        'a', 'Z', '/', ' ', '"', '\\', '\n', '\t', '\u{0}', '\u{1f}', '\u{7f}', 'é', 'π', '日',
+        '\u{2028}', '😀',
+    ];
+
+    /// Zero to two bytes of JSON whitespace.
+    fn ws(rng: &mut DetRng, out: &mut String) {
+        for _ in 0..rng.below(3) {
+            out.push([' ', '\t', '\n', '\r'][rng.index(4)]);
+        }
+    }
+
+    /// `s` as a JSON string, each character written raw, as its short
+    /// escape or as a `\u` escape (a surrogate pair above the BMP), at
+    /// random.
+    fn json_string(s: &str, rng: &mut DetRng, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some('"'),
+                '\\' => Some('\\'),
+                '/' => Some('/'),
+                '\n' => Some('n'),
+                '\t' => Some('t'),
+                _ => None,
+            };
+            let raw_ok = c != '"' && c != '\\';
+            match (rng.below(3), short) {
+                (0, Some(e)) => {
+                    out.push('\\');
+                    out.push(e);
+                }
+                (2, _) if raw_ok => out.push(c),
+                _ => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        out.push_str(&format!("\\u{unit:04X}"));
+                    }
+                }
+            }
+        }
+        out.push('"');
+    }
+
+    /// `entries` in the snapshot's shape, with whitespace between every two
+    /// tokens and escapes drawn at random.
+    fn spaced_text(entries: &[(String, SidecarEntry)], rng: &mut DetRng) -> String {
+        let mut out = String::new();
+        let token = |out: &mut String, rng: &mut DetRng, t: &str| {
+            ws(rng, out);
+            out.push_str(t);
+        };
+        for t in ["{", "\"entries\"", ":", "["] {
+            token(&mut out, rng, t);
+        }
+        for (i, (path, e)) in entries.iter().enumerate() {
+            if i > 0 {
+                token(&mut out, rng, ",");
+            }
+            token(&mut out, rng, "[");
+            ws(rng, &mut out);
+            json_string(path, rng, &mut out);
+            let (reads, last) = (e.reads.to_string(), e.last_access_ms.to_string());
+            for t in [",", "{", "\"reads\"", ":", &reads, ","] {
+                token(&mut out, rng, t);
+            }
+            for t in ["\"last_access_ms\"", ":", &last, "}", "]"] {
+                token(&mut out, rng, t);
+            }
+        }
+        for t in ["]", "}", ""] {
+            token(&mut out, rng, t);
+        }
+        out
+    }
+
+    /// A path of 1 to 300 bytes drawn from [`PALETTE`].
+    fn random_path(rng: &mut DetRng) -> String {
+        let want = 1 + rng.index(300);
+        let mut path = String::new();
+        loop {
+            let c = PALETTE[rng.index(PALETTE.len())];
+            if path.len() + c.len_utf8() > want {
+                break;
+            }
+            path.push(c);
+        }
+        if path.is_empty() {
+            path.push('a');
+        }
+        path
+    }
+
+    fn random_u64(rng: &mut DetRng) -> u64 {
+        match rng.below(4) {
+            0 => 0,
+            1 => u64::MAX,
+            _ => rng.below(u64::MAX),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn random_snapshots_read_as_the_reference_does(seed in 0u64..u64::MAX, n in 0usize..301) {
+            let mut rng = DetRng::seed_from_u64(seed);
+            let mut sidecar = StatsSidecar::default();
+            for _ in 0..n {
+                let e = SidecarEntry {
+                    reads: random_u64(&mut rng),
+                    last_access_ms: random_u64(&mut rng),
+                };
+                sidecar.entries.insert(random_path(&mut rng), e);
+            }
+            let saved = serde_json::to_string(&sidecar).unwrap();
+            prop_assert_eq!(check_against_reference(saved.as_bytes()), Ok(sidecar.clone()));
+
+            // The same entries shuffled, a few listed twice, spaced and
+            // escaped another way: the last of a path's entries counts.
+            let mut entries: Vec<(String, SidecarEntry)> = sidecar.entries.into_iter().collect();
+            for _ in 0..entries.len() / 16 {
+                let (path, mut e) = entries[rng.index(entries.len())].clone();
+                e.reads ^= 1;
+                entries.insert(rng.index(entries.len() + 1), (path, e));
+            }
+            for i in (1..entries.len()).rev() {
+                entries.swap(i, rng.index(i + 1));
+            }
+            let text = spaced_text(&entries, &mut rng);
+            let want: BTreeMap<String, SidecarEntry> = entries.into_iter().collect();
+            let read = check_against_reference(text.as_bytes());
+            prop_assert_eq!(read, Ok(StatsSidecar { entries: want }));
+        }
     }
 }

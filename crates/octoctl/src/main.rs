@@ -10,22 +10,27 @@
 //!
 //! `plan` is dry-run by default: it renders the deterministic move plan
 //! (markdown, or exact plan JSON with `--json`) and touches nothing.
-//! `--execute` performs the plan once under the PID lock. `daemon` loops
-//! watch → plan → execute with structured JSON logs on stdout until
-//! SIGTERM/SIGINT or `--max-cycles`, reopening the backend each cycle so
-//! it plans from the reads `record` logged meanwhile. Both executing
-//! commands remove the `.octo-tmp.*` files of interrupted copies once they
-//! hold the lock.
+//! `--execute` performs the plan once under the PID lock. `daemon` opens
+//! the backend once and loops refresh → plan → execute until
+//! SIGTERM/SIGINT or `--max-cycles`. The refresh at the top of each cycle
+//! replays only the access-log records appended since the last one, so
+//! the plan sees the reads `record` logged meanwhile; it reloads the stats
+//! in full only after a compaction. Every command logs one JSON object per
+//! line on stdout, with counts, sizes, clocks and flags as JSON numbers
+//! and booleans. Both executing commands remove the `.octo-tmp.*` files of
+//! interrupted copies once they hold the lock.
 
 use octo_backend_fs::FsBackend;
 use octo_dfs::backend::StorageBackend;
 use octo_policies::plan_moves;
 use octoctl::{config::OctoctlConfig, exec, lock::PidLock, signals};
+use serde::{Content, Serialize};
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 use std::sync::atomic::Ordering;
+use std::time::Instant;
 
 const USAGE: &str = "usage: octoctl <init|plan|daemon|status|record> [options]
   init   --base <dir> [--config <file>] [--bandwidth <bytes/sec>]
@@ -93,31 +98,14 @@ impl Args {
     }
 }
 
-/// Escapes a string for a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// One structured log line: a JSON object of string fields on `stdout`,
-/// rendered by hand (the offline serde shim prints maps as pair arrays).
-fn jlog(event: &str, fields: &[(&str, String)]) {
-    let mut line = format!("{{\"event\":\"{}\"", json_escape(event));
-    for (k, v) in fields {
-        line.push_str(&format!(",\"{}\":\"{}\"", json_escape(k), json_escape(v)));
-    }
-    line.push('}');
+/// One structured log line on `stdout`: a JSON object of `event` and then
+/// `fields` in order, each printed as its type serializes, so numbers and
+/// booleans print unquoted. The object is built as a [`Content`] map
+/// because the JSON shim prints Rust maps as `[key, value]` pair arrays.
+fn jlog(event: &str, fields: &[(&str, &dyn Serialize)]) {
+    let mut object = vec![("event".to_string(), event.serialize())];
+    object.extend(fields.iter().map(|(k, v)| (k.to_string(), v.serialize())));
+    let line = serde_json::to_string(&Content::Map(object)).expect("a log line serializes");
     let mut out = std::io::stdout().lock();
     let _ = writeln!(out, "{line}");
     let _ = out.flush();
@@ -138,7 +126,7 @@ fn open_backend(cfg: &OctoctlConfig) -> Result<FsBackend, String> {
 fn sweep_temp_files(backend: &FsBackend) -> Result<(), String> {
     let removed = backend.sweep_temp_files().map_err(|e| e.to_string())?;
     if removed > 0 {
-        jlog("temp_files_removed", &[("count", removed.to_string())]);
+        jlog("temp_files_removed", &[("count", &removed)]);
     }
     Ok(())
 }
@@ -181,10 +169,10 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
     jlog(
         "plan_executed",
         &[
-            ("moved", report.moved.to_string()),
-            ("skipped", report.skipped.to_string()),
-            ("interrupted", report.interrupted.to_string()),
-            ("bytes_moved", report.bytes_moved.to_string()),
+            ("moved", &report.moved),
+            ("skipped", &report.skipped),
+            ("interrupted", &report.interrupted),
+            ("bytes_moved", &report.bytes_moved),
         ],
     );
     for o in &report.outcomes {
@@ -192,9 +180,9 @@ fn cmd_plan(args: &Args) -> Result<(), String> {
             jlog(
                 "move_problem",
                 &[
-                    ("path", o.path.clone()),
-                    ("status", o.status.to_string()),
-                    ("detail", o.detail.clone()),
+                    ("path", &o.path),
+                    ("status", &o.status),
+                    ("detail", &o.detail),
                 ],
             );
         }
@@ -214,13 +202,14 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     let _lock = PidLock::acquire(&cfg.lock_path()).map_err(|e| e.to_string())?;
     let mut backend = open_backend(&cfg)?;
     sweep_temp_files(&backend)?;
+    backend.set_cancel_flag(cancel.clone());
     jlog(
         "daemon_start",
         &[
-            ("pid", std::process::id().to_string()),
-            ("base_dir", cfg.base_dir.clone()),
-            ("strategy", cfg.strategy.clone()),
-            ("interval_ms", interval_ms.to_string()),
+            ("pid", &std::process::id()),
+            ("base_dir", &cfg.base_dir),
+            ("strategy", &cfg.strategy),
+            ("interval_ms", &interval_ms),
         ],
     );
     let mut cycles: u64 = 0;
@@ -228,20 +217,22 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
         if cancel.load(Ordering::SeqCst) {
             break "signal";
         }
-        if cycles > 0 {
-            // A fresh open picks up the reads that `octoctl record` logged
-            // since the last cycle.
-            backend = open_backend(&cfg)?;
-        }
-        backend.set_cancel_flag(cancel.clone());
+        // Pick up the reads that `octoctl record` logged since the last
+        // cycle.
+        let started = Instant::now();
+        let refresh = backend.refresh().map_err(|e| e.to_string())?;
+        let refresh_us = started.elapsed().as_micros() as u64;
         let plan = plan_moves(&backend, &cfg.planner_config()).map_err(|e| e.to_string())?;
         jlog(
             "cycle_planned",
             &[
-                ("cycle", cycles.to_string()),
-                ("files", plan.files.to_string()),
-                ("moves", plan.moves.len().to_string()),
-                ("bytes", plan.total_bytes().to_string()),
+                ("cycle", &cycles),
+                ("refresh", &if refresh.reloaded { "reload" } else { "tail" }),
+                ("refresh_records", &refresh.records),
+                ("refresh_us", &refresh_us),
+                ("files", &plan.files),
+                ("moves", &plan.moves.len()),
+                ("bytes", &plan.total_bytes()),
             ],
         );
         if !plan.moves.is_empty() {
@@ -250,21 +241,21 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
                 jlog(
                     "move_done",
                     &[
-                        ("cycle", cycles.to_string()),
-                        ("path", o.path.clone()),
-                        ("status", o.status.to_string()),
-                        ("detail", o.detail.clone()),
+                        ("cycle", &cycles),
+                        ("path", &o.path),
+                        ("status", &o.status),
+                        ("detail", &o.detail),
                     ],
                 );
             }
             jlog(
                 "cycle_executed",
                 &[
-                    ("cycle", cycles.to_string()),
-                    ("moved", report.moved.to_string()),
-                    ("skipped", report.skipped.to_string()),
-                    ("interrupted", report.interrupted.to_string()),
-                    ("bytes_moved", report.bytes_moved.to_string()),
+                    ("cycle", &cycles),
+                    ("moved", &report.moved),
+                    ("skipped", &report.skipped),
+                    ("interrupted", &report.interrupted),
+                    ("bytes_moved", &report.bytes_moved),
                 ],
             );
             if report.interrupted {
@@ -285,10 +276,7 @@ fn cmd_daemon(args: &Args) -> Result<(), String> {
     };
     jlog(
         "daemon_exit",
-        &[
-            ("reason", exit_reason.to_string()),
-            ("cycles", cycles.to_string()),
-        ],
+        &[("reason", &exit_reason), ("cycles", &cycles)],
     );
     Ok(())
 }
@@ -297,17 +285,23 @@ fn cmd_status(args: &Args) -> Result<(), String> {
     let cfg = load_config(args)?;
     let backend = open_backend(&cfg)?;
     let files = backend.list_files().map_err(|e| e.to_string())?;
-    let mut fields: Vec<(&str, String)> = vec![
-        ("backend", backend.name().to_string()),
-        ("clock_ms", backend.clock().as_millis().to_string()),
-        ("files", files.len().to_string()),
-    ];
-    let labels = ["mem_used_bytes", "ssd_used_bytes", "hdd_used_bytes"];
-    for (i, tier) in octo_common::StorageTier::ALL.into_iter().enumerate() {
+    let used = |tier| -> Result<u64, String> {
         let st = backend.tier_status(tier).map_err(|e| e.to_string())?;
-        fields.push((labels[i], st.used.as_bytes().to_string()));
-    }
-    jlog("status", &fields);
+        Ok(st.used.as_bytes())
+    };
+    use octo_common::StorageTier::{Hdd, Memory, Ssd};
+    let (mem, ssd, hdd) = (used(Memory)?, used(Ssd)?, used(Hdd)?);
+    jlog(
+        "status",
+        &[
+            ("backend", &backend.name()),
+            ("clock_ms", &backend.clock().as_millis()),
+            ("files", &files.len()),
+            ("mem_used_bytes", &mem),
+            ("ssd_used_bytes", &ssd),
+            ("hdd_used_bytes", &hdd),
+        ],
+    );
     Ok(())
 }
 
@@ -322,10 +316,7 @@ fn cmd_record(args: &Args) -> Result<(), String> {
     backend
         .record_read(path, octo_common::SimTime::from_millis(at_ms))
         .map_err(|e| e.to_string())?;
-    jlog(
-        "recorded",
-        &[("path", path.to_string()), ("at_ms", at_ms.to_string())],
-    );
+    jlog("recorded", &[("path", &path), ("at_ms", &at_ms)]);
     Ok(())
 }
 

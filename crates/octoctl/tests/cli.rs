@@ -1,8 +1,9 @@
 //! End-to-end tests of the `octoctl` binary over a real tempdir tree:
 //! deterministic dry-run plans, bounded-bandwidth execution, the PID-lock
 //! protocol (stale reclaim, concurrent-daemon mutual exclusion), graceful
-//! SIGTERM mid-move, reads recorded while the daemon runs, and the sweep
-//! of interrupted copies' temp files.
+//! SIGTERM mid-move, reads recorded while the daemon runs and the refresh
+//! that picks them up, the sweep of interrupted copies' temp files, and
+//! listings under link cycles and links to themselves.
 
 #[path = "../src/testdir.rs"]
 mod testdir;
@@ -69,7 +70,11 @@ fn init_writes_a_loadable_config() {
     // And status runs against the fresh (empty) tree.
     let out = octoctl(&["status", "--config", cfg_path.to_str().unwrap()]);
     assert!(out.status.success(), "{out:?}");
-    assert!(stdout_of(&out).contains("\"files\":\"0\""), "{out:?}");
+    let status = stdout_of(&out);
+    assert!(
+        status.contains("\"clock_ms\":0,\"files\":0,"),
+        "numbers print as JSON numbers: {status}"
+    );
 }
 
 #[test]
@@ -122,7 +127,7 @@ fn plan_execute_moves_under_a_tiny_bandwidth_budget() {
     let elapsed = start.elapsed();
     let stdout = stdout_of(&out);
     assert!(stdout.contains("\"event\":\"plan_executed\""), "{stdout}");
-    assert!(stdout.contains("\"interrupted\":\"false\""), "{stdout}");
+    assert!(stdout.contains("\"interrupted\":false,"), "{stdout}");
     assert!(
         elapsed >= Duration::from_millis(900),
         "bandwidth budget ignored: finished in {elapsed:?}"
@@ -251,7 +256,7 @@ fn daemon_plans_from_reads_recorded_after_it_started() {
         .find(|l| l.contains("\"event\":\"cycle_planned\""))
         .expect("cycle 0 is planned");
     assert!(
-        cycle0.contains("\"cycle\":\"0\"") && cycle0.contains("\"moves\":\"0\""),
+        cycle0.contains("\"cycle\":0,") && cycle0.contains("\"moves\":0,"),
         "nothing is hot before any read: {cycle0}"
     );
     // Three reads lift the HDD file to heat 3.5, past `watermark_hot`
@@ -263,12 +268,20 @@ fn daemon_plans_from_reads_recorded_after_it_started() {
     let rest: Vec<String> = lines.collect();
     assert!(daemon.wait().unwrap().success());
     let log = rest.join("\n");
+    let cycle1 = rest
+        .iter()
+        .find(|l| l.contains("\"event\":\"cycle_planned\",\"cycle\":1,"))
+        .expect("cycle 1 is planned");
     assert!(
-        log.contains("\"event\":\"cycle_planned\",\"cycle\":\"1\",\"files\":\"1\",\"moves\":\"1\""),
-        "cycle 1 plans the upgrade: {log}"
+        cycle1.contains("\"refresh\":\"tail\",\"refresh_records\":3,\"refresh_us\":"),
+        "cycle 1 replays the three reads from the log's tail: {cycle1}"
     );
     assert!(
-        log.contains("\"cycle\":\"1\",\"path\":\"warm.dat\",\"status\":\"moved\""),
+        cycle1.contains("\"files\":1,\"moves\":1,"),
+        "cycle 1 plans the upgrade: {cycle1}"
+    );
+    assert!(
+        log.contains("\"cycle\":1,\"path\":\"warm.dat\",\"status\":\"moved\""),
         "{log}"
     );
     assert!(base.join("mem/warm.dat").exists(), "upgraded into MEM");
@@ -297,7 +310,7 @@ fn lock_holders_sweep_leftover_temp_files_and_other_commands_do_not() {
     assert!(out.status.success(), "{out:?}");
     assert!(!leftover.exists(), "the daemon sweeps under its lock");
     assert!(
-        stdout_of(&out).contains("\"event\":\"temp_files_removed\",\"count\":\"1\""),
+        stdout_of(&out).contains("\"event\":\"temp_files_removed\",\"count\":1}"),
         "{out:?}"
     );
     plant();
@@ -309,9 +322,13 @@ fn lock_holders_sweep_leftover_temp_files_and_other_commands_do_not() {
 
 #[test]
 fn status_and_plan_list_each_file_once_under_directory_link_cycles() {
-    let cases: [(&str, &[(&str, &str)]); 2] = [
+    // The last two cases are links that never resolve: one to itself, and
+    // two to each other.
+    let cases: [(&str, &[(&str, &str)]); 4] = [
         ("up", &[("d/up", "..")]),
         ("pair", &[("a/l", "../b"), ("b/l", "../a")]),
+        ("self", &[("x", "x")]),
+        ("loop", &[("p", "q"), ("q", "p")]),
     ];
     for (tag, links) in cases {
         let (base, cfg) = setup(&format!("cycle-{tag}"), 1_000_000, 0);
@@ -327,9 +344,9 @@ fn status_and_plan_list_each_file_once_under_directory_link_cycles() {
         let status = octoctl(&["status", "--config", cfg_s]);
         assert!(status.status.success(), "{tag}: {status:?}");
         let status = stdout_of(&status);
-        assert!(status.contains("\"files\":\"3\""), "{tag}: {status}");
+        assert!(status.contains("\"files\":3,"), "{tag}: {status}");
         assert!(
-            status.contains("\"ssd_used_bytes\":\"700\""),
+            status.contains("\"ssd_used_bytes\":700,"),
             "{tag}: {status}"
         );
         let plan = octoctl(&["plan", "--config", cfg_s, "--dry-run", "--json"]);

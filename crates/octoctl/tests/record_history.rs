@@ -1,13 +1,16 @@
 //! A fixed read history replayed into `FsBackend` over a small tree, with
 //! one plan → execute cycle per burst, the way `octoctl daemon` runs them.
 //!
-//! The history is long enough to cross the access log's compaction
-//! threshold several times, the backend is reopened between bursts, and
-//! the paths carry quotes, spaces, newlines and multi-byte text. The test
-//! pins the FNV-1a of each cycle's plan JSON and the final logical clock:
-//! the values were taken from the whole-sidecar backend that preceded the
-//! log, so any change to how reads are persisted or replayed that alters a
-//! decision fails here.
+//! One backend records the reads, as `octoctl record` does. A second one,
+//! opened once, refreshes before each plan, as the daemon does at the top
+//! of each cycle. The history is long enough to cross the access log's
+//! compaction threshold several times, so the planner both replays log
+//! tails and reloads after compactions, and the paths carry quotes,
+//! spaces, newlines and multi-byte text. The test pins the FNV-1a of each
+//! cycle's plan JSON and the final logical clock: the values were taken
+//! from the whole-sidecar backend that preceded the log, which the planner
+//! reopened before each burst, so any change to how reads are persisted,
+//! replayed or refreshed that alters a decision fails here.
 
 #[path = "../src/testdir.rs"]
 mod testdir;
@@ -79,10 +82,10 @@ fn fixed_history_plans_are_pinned_across_compactions_and_reopens() {
     let mut clock = CLOCK_START_MS;
     let mut hashes = Vec::new();
     let (mut up, mut down) = (0usize, 0usize);
+    let (mut tails, mut reloads) = (0usize, 0usize);
+    let mut recorder = FsBackend::open(cfg.backend_config()).unwrap();
+    let mut backend = FsBackend::open(cfg.backend_config()).unwrap();
     for burst in 0..BURSTS {
-        // Every burst starts from a fresh open, as each `octoctl` command
-        // and each daemon cycle does.
-        let mut backend = FsBackend::open(cfg.backend_config()).unwrap();
         // Each burst reads four files, three places further along than the
         // last burst's; a tenth of the reads arrive late, stamped before the
         // newest access.
@@ -94,10 +97,18 @@ fn fixed_history_plans_are_pinned_across_compactions_and_reopens() {
             } else {
                 clock
             };
-            backend
+            recorder
                 .record_read(FILES[pick].1, SimTime::from_millis(at))
                 .unwrap();
         }
+        let refresh = backend.refresh().unwrap();
+        if refresh.reloaded {
+            reloads += 1;
+        } else {
+            assert_eq!(refresh.records, READS_PER_BURST, "burst {burst}");
+            tails += 1;
+        }
+        assert_eq!(backend.sidecar(), recorder.sidecar(), "burst {burst}");
         let plan = plan_moves(&backend, &cfg.planner_config()).unwrap();
         hashes.push(fnv1a(plan.to_json().as_bytes()));
         for m in &plan.moves {
@@ -110,12 +121,17 @@ fn fixed_history_plans_are_pinned_across_compactions_and_reopens() {
         let report = execute_plan(&mut backend, &plan, &AtomicBool::new(false));
         assert_eq!(report.moved, plan.moves.len(), "burst {burst}: {report:?}");
     }
-    let backend = FsBackend::open(cfg.backend_config()).unwrap();
-    let final_clock = backend.clock().as_millis();
+    let reopened = FsBackend::open(cfg.backend_config()).unwrap();
+    assert_eq!(reopened.sidecar(), backend.sidecar());
+    let final_clock = reopened.clock().as_millis();
 
     assert!(
         up > 0 && down > 0,
         "moves go both ways: {up} up, {down} down"
+    );
+    assert!(
+        tails > 0 && reloads > 0,
+        "refreshes both replay tails and reload: {tails} tails, {reloads} reloads"
     );
     assert_eq!(
         (hashes.as_slice(), final_clock),
