@@ -377,26 +377,16 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        // An unsigned integer's value, folded while scanning: what `text`
-        // parses to as a `u64`, or `None` once it overflows.
-        let mut unsigned = (self.pos == start).then_some(0u64);
         let mut is_float = false;
         while let Some(b) = self.peek() {
             match b {
-                b'0'..=b'9' => {
-                    let digit = u64::from(b - b'0');
-                    unsigned = unsigned.and_then(|v| v.checked_mul(10)?.checked_add(digit));
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => self.pos += 1,
                 b'.' | b'e' | b'E' | b'+' | b'-' => {
                     is_float = true;
                     self.pos += 1;
                 }
                 _ => break,
             }
-        }
-        if let (false, Some(v), true) = (is_float, unsigned, self.pos > start) {
-            return Ok(Content::U64(v));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;

@@ -1008,7 +1008,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(40))]
 
         /// One backend records, compacts and reopens, and the test cuts
-        /// records off mid-append; another, opened once, refreshes.
+        /// records off mid-append; another, opened once, refreshes, also
+        /// in the middle of a compaction.
         #[test]
         fn a_refreshed_backend_equals_a_fresh_open(
             ops in proptest::collection::vec((0u8..12, 0usize..6, 1usize..40), 1..60),
@@ -1066,6 +1067,28 @@ mod tests {
                                 record(&mut writer, pick, n);
                             })
                             .unwrap();
+                        assert_fresh(&reader)?;
+                    }
+                    // A refresh between the compaction's new snapshot and
+                    // its emptying of the log, then the log grows back past
+                    // where that refresh stopped. (Records the test appended
+                    // behind the writer's back are lost to the compaction,
+                    // so the reader is checked only after its next refresh.)
+                    7 => {
+                        let log_len = || std::fs::metadata(&log).map_or(0, |m| m.len());
+                        let old_len = log_len();
+                        writer
+                            .stats
+                            .compact_with(|| {
+                                reader.refresh().unwrap();
+                            })
+                            .unwrap();
+                        let mut k = pick;
+                        while log_len() <= old_len {
+                            record(&mut writer, k, 1);
+                            k += 1;
+                        }
+                        reader.refresh().unwrap();
                         assert_fresh(&reader)?;
                     }
                     _ => record(&mut writer, pick, n),

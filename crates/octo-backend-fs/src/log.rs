@@ -23,10 +23,15 @@
 //! flight, so the next refresh reads that record whole. It reloads the
 //! snapshot and replays the whole log instead when a compaction replaced
 //! the snapshot (its inode, length or modification time changed) or
-//! emptied the log (the log is shorter than what was read of it). It checks
-//! the snapshot both before and after reading the log, so a compaction that
-//! lands in between is seen too. Opening is a refresh from the empty state,
-//! so there is one replay path, and it writes nothing.
+//! emptied the log: the log is shorter than what was read of it, or no
+//! longer holds the last bytes read where they were. The second test
+//! catches a log that a compaction emptied just after a refresh had loaded
+//! its new snapshot and read the old log, and that grew back past the read
+//! offset before the next refresh. It checks the snapshot both before and
+//! after reading the log, so a compaction that lands in between is seen
+//! too. Opening is a refresh from the empty state, so there is one replay
+//! path, and it writes nothing. A backend that records and then refreshes
+//! replays its own records again, which the max-merge makes harmless.
 //!
 //! The record that brings the log to as many records as the snapshot has
 //! entries (and at least [`COMPACT_FLOOR`]) compacts: the in-memory stats
@@ -48,6 +53,10 @@ const LOG_FILE: &str = "octostats.log";
 /// The fewest log records that trigger a compaction, so a small snapshot
 /// is not rewritten every few reads.
 const COMPACT_FLOOR: usize = 1024;
+
+/// How many of the last bytes read a refresh checks again: the checksum
+/// that ends the last whole record read, unless skipped bytes follow it.
+const MARK_LEN: usize = 8;
 
 fn u64_at(bytes: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("an 8-byte slice"))
@@ -160,12 +169,16 @@ pub(crate) struct AccessStats {
     clock_ms: u64,
     snapshot_path: PathBuf,
     log_path: PathBuf,
-    /// The version of the snapshot `stats` started from, or that this
-    /// process last wrote; `None` for no snapshot.
+    /// The version of the snapshot `stats` started from; `None` for no
+    /// snapshot.
     snapshot: Option<SnapshotId>,
     /// Bytes at the start of the log that `stats` holds: where the next
     /// refresh starts reading.
     log_read: u64,
+    /// The last bytes before `log_read` (up to [`MARK_LEN`]) as they were
+    /// read, which the next refresh finds there again unless the log was
+    /// emptied since.
+    log_mark: Vec<u8>,
     /// Entries the snapshot held when it was loaded or last written.
     snapshot_entries: usize,
     /// Records in the log.
@@ -185,6 +198,7 @@ impl AccessStats {
             snapshot_path,
             snapshot: None,
             log_read: 0,
+            log_mark: Vec::with_capacity(MARK_LEN),
             snapshot_entries: 0,
             log_records: 0,
             log: None,
@@ -246,13 +260,14 @@ impl AccessStats {
         self.stats = stats;
         self.snapshot = version;
         self.log_read = 0;
+        self.log_mark.clear();
         self.log_records = 0;
         Ok(())
     }
 
     /// Replays the log from where the last read stopped, and returns how
-    /// many records it merged; `None` when the log is shorter than that, as
-    /// after a compaction emptied it.
+    /// many records it merged; `None` when the log is shorter than that or
+    /// holds other bytes just before it, as after a compaction emptied it.
     fn replay_tail(&mut self) -> Result<Option<usize>> {
         let err = |e| io_err("reading access log", &self.log_path, e);
         let mut log = match std::fs::File::open(&self.log_path) {
@@ -266,11 +281,21 @@ impl AccessStats {
         if len < self.log_read {
             return Ok(None);
         }
-        log.seek(SeekFrom::Start(self.log_read)).map_err(err)?;
-        let mut tail = Vec::with_capacity(usize::try_from(len - self.log_read).unwrap_or(0));
-        log.read_to_end(&mut tail).map_err(err)?;
-        let (merged, read) = replay(&tail, &mut self.stats, &mut self.clock_ms);
+        // Read from the start of the mark, which must come back unchanged.
+        let mark = self.log_mark.len();
+        let from = self.log_read - mark as u64;
+        log.seek(SeekFrom::Start(from)).map_err(err)?;
+        let mut bytes = Vec::with_capacity(usize::try_from(len - from).unwrap_or(0));
+        log.read_to_end(&mut bytes).map_err(err)?;
+        if bytes.get(..mark) != Some(&self.log_mark[..]) {
+            return Ok(None);
+        }
+        let (merged, read) = replay(&bytes[mark..], &mut self.stats, &mut self.clock_ms);
+        let end = mark + read;
         self.log_read += read as u64;
+        self.log_mark.clear();
+        self.log_mark
+            .extend_from_slice(&bytes[end.saturating_sub(MARK_LEN)..end]);
         self.log_records += merged;
         Ok(Some(merged))
     }
@@ -306,14 +331,6 @@ impl AccessStats {
         };
         log.write_all(&rec)
             .map_err(|e| io_err("appending to access log", &self.log_path, e))?;
-        // When the record starts where the last refresh stopped reading,
-        // nothing unread lies before it and the next refresh can skip it.
-        let end = log
-            .stream_position()
-            .map_err(|e| io_err("appending to access log", &self.log_path, e))?;
-        if end == self.log_read + rec.len() as u64 {
-            self.log_read = end;
-        }
         merge(&mut self.stats, path, new);
         self.clock_ms = self.clock_ms.max(now_ms);
         self.log_records += 1;
@@ -326,9 +343,16 @@ impl AccessStats {
     /// Writes the in-memory stats as the new snapshot, then empties the
     /// log.
     pub(crate) fn compact(&mut self) -> Result<()> {
+        self.compact_with(|| {})
+    }
+
+    /// [`compact`](Self::compact), running `between` after the new snapshot
+    /// is in place and before the log is emptied: the window in which a test
+    /// refreshes another backend.
+    pub(crate) fn compact_with(&mut self, between: impl FnOnce()) -> Result<()> {
         self.stats.save(&self.snapshot_path)?;
-        self.snapshot = SnapshotId::of(&self.snapshot_path)?;
         self.snapshot_entries = self.stats.entries.len();
+        between();
         match std::fs::OpenOptions::new().write(true).open(&self.log_path) {
             Ok(log) => log
                 .set_len(0)
@@ -336,7 +360,6 @@ impl AccessStats {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(io_err("opening access log", &self.log_path, e)),
         }
-        self.log_read = 0;
         self.log_records = 0;
         Ok(())
     }
@@ -579,6 +602,42 @@ mod tests {
         std::fs::write(&log_path, b"").unwrap();
         assert!(reader.refresh(|| {}).unwrap().reloaded);
         assert_fresh(&reader, "after the log was emptied");
+    }
+
+    #[test]
+    fn a_refresh_reloads_when_the_log_was_emptied_and_grew_back_past_it() {
+        let dir = tmp_dir("regrow");
+        let snap_path = dir.join("octostats.json");
+        let log_path = snap_path.with_file_name(LOG_FILE);
+        let mut writer = AccessStats::open(snap_path.clone()).unwrap();
+        let mut reader = AccessStats::open(snap_path.clone()).unwrap();
+        for (k, path) in PATHS.iter().take(4).enumerate() {
+            writer.record(path, 1_000 + k as u64).unwrap();
+        }
+        let old_len = std::fs::metadata(&log_path).unwrap().len();
+
+        // The reader refreshes after the compaction saved the new snapshot
+        // and before it emptied the log: it loads the new snapshot and reads
+        // the whole old log.
+        writer
+            .compact_with(|| {
+                let done = reader.refresh(|| {}).unwrap();
+                assert_eq!((done.reloaded, done.records), (true, 4));
+            })
+            .unwrap();
+        assert_fresh(&reader, "after the compaction");
+
+        // The log grows back past the reader's offset before its next
+        // refresh, with records of other lengths than before.
+        let mut k = 0;
+        while std::fs::metadata(&log_path).unwrap().len() <= old_len {
+            writer.record(PATHS[5 - k % 2], 5_000 + k as u64).unwrap();
+            k += 1;
+        }
+        let done = reader.refresh(|| {}).unwrap();
+        assert_eq!((done.reloaded, done.records), (true, k));
+        assert_eq!(reader.stats(), writer.stats());
+        assert_fresh(&reader, "after the log grew back");
     }
 
     proptest! {
