@@ -158,7 +158,10 @@ fn write_content(out: &mut String, c: &Content) {
     }
 }
 
-fn write_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal, quotes included, escaped exactly
+/// as [`to_string`] escapes every string and map key: writers that stream
+/// JSON piece by piece call it to produce the same bytes.
+pub fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {

@@ -3,11 +3,13 @@
 //! inherited access statistics hold 10k, 100k or 1M entries (most of them
 //! for files deleted long ago), written to `BENCH_backend.json`.
 //!
-//! For each size the probe saves the inherited statistics as the snapshot,
-//! times three `FsBackend::open` calls, then records reads of uniformly
-//! drawn tree files for a fixed wall-clock budget, timing each
+//! For each size the probe saves the inherited statistics as the snapshot
+//! three times, times three `FsBackend::open` calls, then records reads of
+//! uniformly drawn tree files for a fixed wall-clock budget, timing each
 //! `record_read` call alone. Per size it reports:
 //!
+//! * `save_ms`: the median of the three `StatsSidecar::save` calls, the
+//!   snapshot rewrite a compaction pays;
 //! * `open_ms`: the median open of the inherited statistics alone;
 //! * `reopen_ms`: one open after the run, over whatever the recorded
 //!   reads left on disk;
@@ -27,8 +29,8 @@
 //! It asserts that a backend reopened after the run lists exactly what
 //! the live one does, and again after its refreshes. Timings are printed
 //! and recorded, never gated. The committed JSON also records, under
-//! `parent`, the numbers this same file measured on the commit before
-//! `refresh` existed, which had no `refresh_ms`.
+//! `parent`, the numbers this same file measured on the commit before the
+//! streaming save.
 //!
 //! ```text
 //! OCTO_BENCH_MODE=quick cargo bench -p bench --bench backend_records
@@ -66,6 +68,7 @@ fn tree_path(i: usize) -> String {
 
 struct Point {
     entries: usize,
+    save_ms: f64,
     open_ms: f64,
     reopen_ms: f64,
     refresh_ms: f64,
@@ -101,9 +104,16 @@ fn measure(base: &Path, entries: usize, seconds: f64) -> Point {
         };
         inherited.entries.insert(path, entry);
     }
-    inherited
-        .save(&cfg.sidecar_path())
-        .expect("writing the inherited statistics");
+    let mut saves: Vec<f64> = (0..3)
+        .map(|_| {
+            let t = Instant::now();
+            inherited
+                .save(&cfg.sidecar_path())
+                .expect("writing the inherited statistics");
+            t.elapsed().as_secs_f64()
+        })
+        .collect();
+    saves.sort_by(f64::total_cmp);
     drop(inherited);
 
     let mut opens: Vec<f64> = (0..3)
@@ -180,6 +190,7 @@ fn measure(base: &Path, entries: usize, seconds: f64) -> Point {
 
     Point {
         entries,
+        save_ms: saves[1] * 1e3,
         open_ms: opens[1] * 1e3,
         reopen_ms,
         refresh_ms: refreshes[1] * 1e3,
@@ -208,10 +219,11 @@ fn main() {
     for &entries in sizes {
         let p = measure(&base, entries, seconds);
         println!(
-            "{:>9} entries: open {:>8.2} ms, reopen {:>8.2} ms, refresh {:>6.3} ms, \
-             {:>7} records at {:>9.0} records/s, {:>10.1} B written and {:>4.1} B logged \
-             per record, {} compactions",
+            "{:>9} entries: save {:>8.2} ms, open {:>8.2} ms, reopen {:>8.2} ms, \
+             refresh {:>6.3} ms, {:>7} records at {:>9.0} records/s, {:>10.1} B written \
+             and {:>4.1} B logged per record, {} compactions",
             p.entries,
+            p.save_ms,
             p.open_ms,
             p.reopen_ms,
             p.refresh_ms,
@@ -230,11 +242,12 @@ fn main() {
         .iter()
         .map(|p| {
             format!(
-                "    {{\"entries\": {}, \"open_ms\": {:.3}, \"reopen_ms\": {:.3}, \
-                 \"refresh_ms\": {:.3}, \"records\": {}, \"records_per_s\": {:.1}, \
-                 \"written_bytes_per_record\": {:.1}, \"log_bytes_per_record\": {:.1}, \
-                 \"compactions\": {}}}",
+                "    {{\"entries\": {}, \"save_ms\": {:.3}, \"open_ms\": {:.3}, \
+                 \"reopen_ms\": {:.3}, \"refresh_ms\": {:.3}, \"records\": {}, \
+                 \"records_per_s\": {:.1}, \"written_bytes_per_record\": {:.1}, \
+                 \"log_bytes_per_record\": {:.1}, \"compactions\": {}}}",
                 p.entries,
+                p.save_ms,
                 p.open_ms,
                 p.reopen_ms,
                 p.refresh_ms,

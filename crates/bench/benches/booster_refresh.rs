@@ -15,7 +15,9 @@
 //! The probe replays the stream twice and asserts that both replays end
 //! with the same model digest. Timings are printed and recorded, never
 //! gated. The committed JSON also records, under `parent`, the numbers this
-//! same file measured on the commit before the incremental booster.
+//! same file measured on the commit before the one-pass split scan and the
+//! packed, lockstep-walked trees; each side is the median of five runs,
+//! alternating with the other side's.
 //!
 //! ```text
 //! OCTO_BENCH_MODE=quick cargo bench -p bench --bench booster_refresh

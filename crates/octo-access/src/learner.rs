@@ -11,12 +11,18 @@
 //! Model and buffer live in one [`IncrementalBooster`]. Each buffered point
 //! caches the sum of the current trees' outputs on it, computed once when
 //! the point is scored, so a refresh costs only its new trees.
+//!
+//! The learner also counts what it did ([`LearnerCounters`]): points and
+//! their labels, predictions asked and served, refreshes by kind and the
+//! simulated instant the model activated. No decision reads them, and they
+//! hold no wall-clock value.
 
 use crate::features::FeatureConfig;
 use octo_common::{SimDuration, SimTime};
 use octo_gbt::{Gbt, GbtParams, IncrementalBooster};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How the model is kept up to date over time (Figure 16 compares these).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,6 +78,56 @@ impl Default for LearnerConfig {
     }
 }
 
+/// What a learner, and the predictor that feeds it, did over a run:
+/// integer counts and one simulated instant, never read by a decision.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LearnerCounters {
+    /// Training points the predictor tried to make (one per
+    /// [`AccessPredictor::observe_file`](crate::AccessPredictor::observe_file)).
+    pub offered: u64,
+    /// Training points made and fed to the learner.
+    pub made: u64,
+    /// Offered points dropped because the file is younger than the class
+    /// window (it did not exist at the reference time `now − w`).
+    pub too_young: u64,
+    /// Points made with a positive label.
+    pub positive: u64,
+    /// Predictions asked of the learner through its activation gate.
+    pub predictions_asked: u64,
+    /// Predictions served: asked while the model was active.
+    pub predictions_served: u64,
+    /// The simulated instant the activation gate opened on its own (`None`
+    /// before it does, and for a forced activation).
+    pub activated_at: Option<SimTime>,
+    /// Refreshes that boosted more trees onto the current model.
+    pub boosts: u64,
+    /// Refreshes that fitted a model from scratch: the first fit, a
+    /// retrain or a compaction.
+    pub fits: u64,
+}
+
+/// A count bumped through `&self`: policy scans ask predictions of one
+/// learner from several threads at once. The total does not depend on the
+/// order of the bumps.
+#[derive(Debug, Default)]
+struct SharedCount(AtomicU64);
+
+impl SharedCount {
+    fn bump(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Clone for SharedCount {
+    fn clone(&self) -> Self {
+        SharedCount(AtomicU64::new(self.get()))
+    }
+}
+
 /// An online classifier over file-access feature vectors.
 #[derive(Debug, Clone)]
 pub struct IncrementalLearner {
@@ -81,7 +137,12 @@ pub struct IncrementalLearner {
     activated: bool,
     last_refresh: Option<SimTime>,
     points_seen: u64,
-    trainings: u64,
+    positive: u64,
+    boosts: u64,
+    fits: u64,
+    activated_at: Option<SimTime>,
+    predictions_asked: SharedCount,
+    predictions_served: SharedCount,
 }
 
 impl IncrementalLearner {
@@ -95,7 +156,12 @@ impl IncrementalLearner {
             activated: false,
             last_refresh: None,
             points_seen: 0,
-            trainings: 0,
+            positive: 0,
+            boosts: 0,
+            fits: 0,
+            activated_at: None,
+            predictions_asked: SharedCount::default(),
+            predictions_served: SharedCount::default(),
         }
     }
 
@@ -108,6 +174,7 @@ impl IncrementalLearner {
     /// buffers it for training and refreshes the model if due.
     pub fn observe(&mut self, features: &[f32], label: bool, now: SimTime) {
         self.points_seen += 1;
+        self.positive += u64::from(label);
         if let Some(p) = self
             .booster
             .observe(features, if label { 1.0 } else { 0.0 })
@@ -122,6 +189,7 @@ impl IncrementalLearner {
                 && self.prequential_error() < self.cfg.activation_error
             {
                 self.activated = true;
+                self.activated_at = Some(now);
             }
         }
         self.maybe_refresh(now);
@@ -152,12 +220,15 @@ impl IncrementalLearner {
                 if model.n_trees() + rounds <= self.cfg.max_trees =>
             {
                 self.booster.boost(rounds);
+                self.boosts += 1;
             }
             // A continuation past `max_trees` would be discarded, so compact
             // at once: retrain from scratch on the retained buffer.
-            _ => self.booster.fit(&self.cfg.gbt),
+            _ => {
+                self.booster.fit(&self.cfg.gbt);
+                self.fits += 1;
+            }
         }
-        self.trainings += 1;
         self.last_refresh = Some(now);
     }
 
@@ -165,10 +236,15 @@ impl IncrementalLearner {
     /// `None` before activation (paper §4.4: the system falls back to its
     /// non-ML behaviour until the model is trusted).
     pub fn predict(&self, features: &[f32]) -> Option<f64> {
+        self.predictions_asked.bump();
         if !self.activated {
             return None;
         }
-        self.model().map(|m| m.predict_proba(features))
+        let p = self.model().map(|m| m.predict_proba(features));
+        if p.is_some() {
+            self.predictions_served.bump();
+        }
+        p
     }
 
     /// P(positive) regardless of the activation gate (used by offline
@@ -216,7 +292,22 @@ impl IncrementalLearner {
 
     /// Completed training calls.
     pub fn trainings(&self) -> u64 {
-        self.trainings
+        self.boosts + self.fits
+    }
+
+    /// What the learner did so far; `offered` and `too_young` are the
+    /// predictor's and read 0 here.
+    pub fn counters(&self) -> LearnerCounters {
+        LearnerCounters {
+            made: self.points_seen,
+            positive: self.positive,
+            predictions_asked: self.predictions_asked.get(),
+            predictions_served: self.predictions_served.get(),
+            activated_at: self.activated_at,
+            boosts: self.boosts,
+            fits: self.fits,
+            ..LearnerCounters::default()
+        }
     }
 }
 

@@ -20,5 +20,5 @@ pub mod predictor;
 
 pub use eval::{roc_curve, Confusion, RocCurve};
 pub use features::FeatureConfig;
-pub use learner::{IncrementalLearner, LearnerConfig, LearningMode};
+pub use learner::{IncrementalLearner, LearnerConfig, LearnerCounters, LearningMode};
 pub use predictor::AccessPredictor;

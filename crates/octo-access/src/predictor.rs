@@ -13,9 +13,14 @@
 //!   inside `(t_r, now]` (guaranteed positive examples);
 //! * periodically for a sample of files — same construction, label 0 or 1
 //!   depending on whether the file was touched inside the window.
+//!
+//! A point can be made only for a file that existed at `t_r`; the
+//! predictor counts the points it was offered and those it dropped for
+//! that reason beside the learner's own counters
+//! ([`AccessPredictor::counters`]).
 
 use crate::features::FeatureConfig;
-use crate::learner::{IncrementalLearner, LearnerConfig};
+use crate::learner::{IncrementalLearner, LearnerConfig, LearnerCounters};
 use octo_common::{SimDuration, SimTime};
 use octo_dfs::AccessStats;
 
@@ -24,6 +29,8 @@ use octo_dfs::AccessStats;
 pub struct AccessPredictor {
     window: SimDuration,
     learner: IncrementalLearner,
+    offered: u64,
+    too_young: u64,
 }
 
 impl AccessPredictor {
@@ -32,6 +39,8 @@ impl AccessPredictor {
         AccessPredictor {
             window,
             learner: IncrementalLearner::new(learner_cfg),
+            offered: 0,
+            too_young: 0,
         }
     }
 
@@ -64,8 +73,10 @@ impl AccessPredictor {
     /// the learner. Returns whether a point could be generated (the file
     /// must have existed before `now − w`).
     pub fn observe_file(&mut self, stats: &AccessStats, now: SimTime) -> bool {
+        self.offered += 1;
         let reference = now.saturating_sub(self.window);
         let Some(features) = self.features().extract(stats, reference) else {
+            self.too_young += 1;
             return false;
         };
         let label = self.label_for(stats, reference);
@@ -87,6 +98,15 @@ impl AccessPredictor {
     pub fn predict(&self, stats: &AccessStats, now: SimTime) -> Option<f64> {
         let features = self.features().extract(stats, now)?;
         self.learner.predict(&features)
+    }
+
+    /// What this predictor and its learner did so far.
+    pub fn counters(&self) -> LearnerCounters {
+        LearnerCounters {
+            offered: self.offered,
+            too_young: self.too_young,
+            ..self.learner.counters()
+        }
     }
 
     /// Like [`AccessPredictor::predict`] but bypassing the activation gate
@@ -187,6 +207,65 @@ mod tests {
         assert!(!pred.observe_file(reg.get(f).unwrap(), SimTime::from_millis(110 * 60_000)));
         // Later it works.
         assert!(pred.observe_file(reg.get(f).unwrap(), SimTime::from_millis(200 * 60_000)));
+    }
+
+    #[test]
+    fn counters_follow_a_scripted_stream() {
+        let mins = |m: u64| SimTime::from_millis(m * 60_000);
+        let cfg = LearnerConfig {
+            gbt: GbtParams {
+                rounds: 2,
+                max_depth: 2,
+                ..GbtParams::default()
+            },
+            min_points: 4,
+            eval_window: 4,
+            // Any error opens the gate at the first scored point.
+            activation_error: 1.5,
+            ..cfg()
+        };
+        let mut reg = StatsRegistry::new(6);
+        let mut pred = AccessPredictor::new(SimDuration::from_mins(30), cfg);
+        let (a, b) = (FileId(0), FileId(1));
+        reg.on_create(a, ByteSize::mb(1), SimTime::ZERO);
+        reg.on_create(b, ByteSize::mb(1), mins(100));
+
+        // Asked before any model: not served.
+        assert_eq!(pred.predict(reg.get(a).unwrap(), mins(5)), None);
+        for i in 0..6 {
+            let now = mins(40 + 10 * i);
+            reg.on_access(a, now);
+            // A positive point for `a`; `b` is younger than the window.
+            assert!(pred.on_file_access(reg.get(a).unwrap(), now));
+            assert!(!pred.observe_file(reg.get(b).unwrap(), now));
+        }
+        // The 4th point fits (70 min); the 5th is scored first and opens
+        // the gate (80 min), then boosts; the 6th boosts.
+        for _ in 0..3 {
+            assert!(pred.predict(reg.get(a).unwrap(), mins(100)).is_some());
+        }
+        // A file that does not exist yet is never asked of the model.
+        assert_eq!(pred.predict(reg.get(b).unwrap(), mins(95)), None);
+        // `b` is old enough now and was never read: a negative point, and
+        // a third boost.
+        assert!(pred.observe_file(reg.get(b).unwrap(), mins(140)));
+
+        assert_eq!(
+            pred.counters(),
+            LearnerCounters {
+                offered: 13,
+                made: 7,
+                too_young: 6,
+                positive: 6,
+                predictions_asked: 4,
+                predictions_served: 3,
+                activated_at: Some(mins(80)),
+                boosts: 3,
+                fits: 1,
+            }
+        );
+        assert_eq!(pred.learner().trainings(), 4);
+        assert_eq!(pred.learner().model().map(|m| m.n_trees()), Some(8));
     }
 
     trait MinsHelper {

@@ -19,6 +19,7 @@
 use octo_common::{OctoError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::os::unix::fs::MetadataExt;
 use std::path::Path;
@@ -146,10 +147,9 @@ impl StatsSidecar {
 
     /// Saves atomically and durably: write a dot-prefixed temp file and
     /// sync it, rename it over the target, then sync the directory so the
-    /// rename itself survives a crash.
+    /// rename itself survives a crash. The text streams out entry by entry
+    /// ([`StatsSidecar::write_json`]); it is never held whole in memory.
     pub fn save(&self, path: &Path) -> Result<()> {
-        let text = serde_json::to_string(self)
-            .map_err(|e| OctoError::InvalidState(format!("serializing stats sidecar: {e}")))?;
         let dir = path.parent().ok_or_else(|| {
             OctoError::InvalidArgument(format!("sidecar path {} has no parent", path.display()))
         })?;
@@ -157,9 +157,10 @@ impl StatsSidecar {
             OctoError::InvalidState(format!("creating state dir {}: {e}", dir.display()))
         })?;
         let tmp = dir.join(".octostats.tmp");
-        let write = |mut f: std::fs::File| {
-            f.write_all(text.as_bytes())?;
-            f.sync_all()
+        let write = |f: std::fs::File| {
+            let mut out = std::io::BufWriter::new(f);
+            self.write_json(&mut out)?;
+            out.into_inner().map_err(|e| e.into_error())?.sync_all()
         };
         std::fs::File::create(&tmp).and_then(write).map_err(|e| {
             OctoError::InvalidState(format!("writing stats sidecar {}: {e}", tmp.display()))
@@ -171,6 +172,26 @@ impl StatsSidecar {
             ))
         })?;
         sync_dir(dir)
+    }
+
+    /// Writes exactly the bytes `serde_json::to_string(self)` makes, one
+    /// entry at a time: `{"entries":[["path",{"reads":R,"last_access_ms":T}],...]}`,
+    /// each path escaped by the shim's own string writer.
+    fn write_json(&self, out: &mut impl Write) -> std::io::Result<()> {
+        out.write_all(b"{\"entries\":[")?;
+        let mut text = String::new();
+        for (i, (path, e)) in self.entries.iter().enumerate() {
+            text.clear();
+            if i > 0 {
+                text.push(',');
+            }
+            text.push('[');
+            serde_json::write_json_string(&mut text, path);
+            let (reads, last) = (e.reads, e.last_access_ms);
+            let _ = write!(text, ",{{\"reads\":{reads},\"last_access_ms\":{last}}}]");
+            out.write_all(text.as_bytes())?;
+        }
+        out.write_all(b"]}")
     }
 }
 
@@ -480,20 +501,26 @@ mod tests {
         }
     }
 
+    /// `n` random entries (fewer when paths repeat).
+    fn random_sidecar(rng: &mut DetRng, n: usize) -> StatsSidecar {
+        let mut sidecar = StatsSidecar::default();
+        for _ in 0..n {
+            let e = SidecarEntry {
+                reads: random_u64(rng),
+                last_access_ms: random_u64(rng),
+            };
+            sidecar.entries.insert(random_path(rng), e);
+        }
+        sidecar
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
         fn random_snapshots_read_as_the_reference_does(seed in 0u64..u64::MAX, n in 0usize..301) {
             let mut rng = DetRng::seed_from_u64(seed);
-            let mut sidecar = StatsSidecar::default();
-            for _ in 0..n {
-                let e = SidecarEntry {
-                    reads: random_u64(&mut rng),
-                    last_access_ms: random_u64(&mut rng),
-                };
-                sidecar.entries.insert(random_path(&mut rng), e);
-            }
+            let sidecar = random_sidecar(&mut rng, n);
             let saved = serde_json::to_string(&sidecar).unwrap();
             prop_assert_eq!(check_against_reference(saved.as_bytes()), Ok(sidecar.clone()));
 
@@ -512,6 +539,17 @@ mod tests {
             let want: BTreeMap<String, SidecarEntry> = entries.into_iter().collect();
             let read = check_against_reference(text.as_bytes());
             prop_assert_eq!(read, Ok(StatsSidecar { entries: want }));
+        }
+
+        #[test]
+        fn random_snapshots_save_as_serde_json_does(seed in 0u64..u64::MAX, n in 0usize..301) {
+            let sidecar = random_sidecar(&mut DetRng::seed_from_u64(seed), n);
+            let mut streamed = Vec::new();
+            sidecar.write_json(&mut streamed).unwrap();
+            prop_assert_eq!(
+                String::from_utf8(streamed).unwrap(),
+                serde_json::to_string(&sidecar).unwrap()
+            );
         }
     }
 }

@@ -2,6 +2,7 @@
 
 use octo_common::{ByteSize, SimDuration, SimTime, StorageTier};
 use octo_dfs::{CacheStats, MovementStats};
+use octo_policies::LearnerReport;
 use octo_workload::SizeBin;
 use serde::{Deserialize, Serialize};
 
@@ -136,6 +137,11 @@ pub struct RunReport {
     pub faults: FaultSummary,
     /// Block-cache counters (all-zero when the cache is disabled).
     pub cache: CacheStats,
+    /// One entry per learning policy, downgrade first: what its learner
+    /// did (points, labels, predictions, refreshes, activation). A side
+    /// field for diagnosis: the canonical transcript never reads it, and
+    /// it holds no wall-clock value.
+    pub learners: Vec<LearnerReport>,
 }
 
 impl RunReport {

@@ -374,6 +374,7 @@ impl<'t> ClusterSim<'t> {
             bytes_read_by_tier: self.bytes_read_by_tier,
             faults: self.fstats,
             cache: self.cache.as_ref().map(|c| c.stats()).unwrap_or_default(),
+            learners: self.engine.learners(),
         }
     }
 

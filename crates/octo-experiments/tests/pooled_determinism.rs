@@ -13,6 +13,7 @@ mod common;
 use common::report_digest;
 use octo_cluster::{run_trace, Scenario};
 use octo_experiments::ExpSettings;
+use octo_policies::PolicyRole;
 use octo_workload::{FaultConfig, FaultSchedule, TraceKind};
 use std::collections::BTreeMap;
 
@@ -138,4 +139,41 @@ fn xgb_xgb_quick_digest_is_thread_count_invariant() {
         cfg.epoch_threads = threads;
         report_digest(&run_trace(cfg, &trace))
     });
+}
+
+/// The learners' counters ride beside the transcript: they must not move
+/// with the thread count either, and must add up.
+#[test]
+fn xgb_xgb_quick_learner_counters_are_thread_count_invariant() {
+    let run = |threads| {
+        let settings = ExpSettings::quick(3);
+        let trace = settings.trace(TraceKind::Facebook);
+        let mut cfg = settings.sim(Scenario::policy_pair("xgb", "xgb"));
+        cfg.epoch_threads = threads;
+        run_trace(cfg, &trace).learners
+    };
+    let serial = run(1);
+    let roles: Vec<_> = serial.iter().map(|l| (l.role, l.policy.as_str())).collect();
+    assert_eq!(
+        roles,
+        [(PolicyRole::Downgrade, "xgb"), (PolicyRole::Upgrade, "xgb")]
+    );
+    for l in &serial {
+        let c = &l.counters;
+        assert_eq!(c.made + c.too_young, c.offered, "{:?}", l.role);
+        assert!(c.predictions_served <= c.predictions_asked, "{:?}", l.role);
+        assert!(c.positive <= c.made, "{:?}", l.role);
+        assert!(
+            c.made > 0 && c.boosts + c.fits > 0,
+            "{:?} never trained",
+            l.role
+        );
+    }
+    for threads in [4, 16] {
+        assert_eq!(
+            run(threads),
+            serial,
+            "learner counters at {threads} threads"
+        );
+    }
 }

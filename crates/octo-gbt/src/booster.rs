@@ -11,12 +11,17 @@
 //! Trees and folds change only together: the window's rows can only be
 //! boosted through the booster that owns both, so every cached fold equals
 //! a fresh sum over the model's trees, bit for bit.
+//!
+//! A fresh fold (scoring a point, [`Gbt::predict_margin`]) walks the trees
+//! four at a time in lockstep, one level of each per step, and adds their
+//! outputs in tree order from [`EMPTY_FOLD`]: the sum `Iterator::sum`
+//! makes, with the node loads of independent trees overlapped.
 
 use crate::dataset::{Dataset, Window, EMPTY_FOLD};
 use crate::objective;
 use crate::params::GbtParams;
-use crate::trainer::{Columns, TreeBuilder};
-use crate::tree::Tree;
+use crate::trainer::{Columns, GradStats, TreeBuilder};
+use crate::tree::{self, Tree};
 use serde::{Deserialize, Serialize};
 
 /// A gradient-boosted tree ensemble for binary classification.
@@ -99,14 +104,15 @@ impl Gbt {
         let mut margins: Vec<f64> = (0..n).map(|i| self.base_margin + window.fold(i)).collect();
         let columns = Columns::presort(window);
         let mut builder = TreeBuilder::new(&columns, &self.params);
-        let mut grad = vec![0.0; n];
-        let mut hess = vec![0.0; n];
+        let mut grads = vec![GradStats::default(); n];
         for _ in 0..rounds {
-            for (i, &m) in margins.iter().enumerate() {
-                grad[i] = objective::grad(m, window.label(i) as f64);
-                hess[i] = objective::hess(m);
+            for (i, (&m, gh)) in margins.iter().zip(&mut grads).enumerate() {
+                *gh = GradStats {
+                    g: objective::grad(m, window.label(i) as f64),
+                    h: objective::hess(m),
+                };
             }
-            let tree = builder.build(&grad, &hess);
+            let tree = builder.build(&grads);
             for (i, (m, &output)) in margins.iter_mut().zip(builder.leaf_values()).enumerate() {
                 debug_assert_eq!(
                     output.to_bits(),
@@ -120,9 +126,10 @@ impl Gbt {
         }
     }
 
-    /// The sum of every tree's output on `row`, in tree order.
+    /// The sum of every tree's output on `row`, in tree order from
+    /// [`EMPTY_FOLD`], several trees walked at a time.
     fn fold(&self, row: &[f32]) -> f64 {
-        self.trees.iter().map(|t| t.predict(row)).sum::<f64>()
+        tree::fold(&self.trees, row)
     }
 
     /// The raw boosting margin (log-odds) for one row.
@@ -469,7 +476,8 @@ mod tests {
     }
 
     /// The learner the oracle replays against: the reference booster over a
-    /// plain sliding buffer, re-predicting every row at every refresh.
+    /// plain sliding buffer, re-predicting every row at every refresh, and
+    /// scoring each point by adding the trees' outputs one tree at a time.
     struct ReferenceLearner {
         model: Option<Gbt>,
         rows: std::collections::VecDeque<(Vec<f32>, f32)>,
@@ -479,7 +487,10 @@ mod tests {
 
     impl ReferenceLearner {
         fn observe(&mut self, x: &[f32], y: f32) -> Option<f64> {
-            let p = self.model.as_ref().map(|m| m.predict_proba(x));
+            let p = self.model.as_ref().map(|m| {
+                let fold: f64 = m.trees.iter().map(|t| t.predict(x)).sum();
+                objective::sigmoid(m.base_margin + fold)
+            });
             self.rows.push_back((x.to_vec(), y));
             if self.rows.len() > self.max_rows {
                 self.rows.pop_front();
@@ -513,7 +524,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
+        #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The oracle: a random observe/refresh stream replayed through the
         /// incremental booster and through the reference learner yields the
@@ -521,24 +532,33 @@ mod tests {
         /// the same margin bits on every buffered row after every refresh,
         /// in incremental mode (with compactions past `max_trees`) and in
         /// retrain mode.
+        ///
+        /// Ensembles hold 1 to 9 trees (`max_trees`), so the lockstep fold
+        /// runs with every remainder. The stream may start with a
+        /// window of positives only, whose first fit is single-leaf trees
+        /// that deeper ones then join; may keep its last column missing
+        /// throughout; and may repeat earlier rows' columns, as a
+        /// re-sampled file does.
         #[test]
         fn prop_incremental_booster_matches_reference(
             seed in 0u64..1_000_000,
             width in 1usize..6,
             nan_pct in 0u32..90,
             max_rows in 1usize..80,
-            shape in (1usize..4, 0usize..7, 1usize..4, 1usize..25),
+            shape in (1usize..4, 0usize..7, 1usize..10, 1usize..25),
             retrain in proptest::bool::ANY,
             any_child_weight in proptest::bool::ANY,
+            stream in (0u32..60, proptest::bool::ANY, proptest::bool::ANY),
         ) {
             let (rounds, max_depth, cap, every) = shape;
+            let (repeat_pct, nan_column, positive_start) = stream;
             let params = GbtParams {
                 rounds,
                 max_depth,
                 min_child_weight: if any_child_weight { 0.0 } else { 1.0 },
                 ..GbtParams::default()
             };
-            let max_trees = rounds * cap;
+            let max_trees = (rounds * cap).min(9);
             let mut rng = StdRng::seed_from_u64(seed);
             let mut booster = IncrementalBooster::new(width, max_rows);
             let mut reference = ReferenceLearner {
@@ -549,11 +569,22 @@ mod tests {
             };
             let (mut refreshes, mut compactions) = (0, 0);
             let n_obs = every * (cap + 3) + max_rows;
+            let mut seen: Vec<Vec<f32>> = Vec::new();
             for k in 0..n_obs {
-                let x: Vec<f32> = (0..width).map(|_| draw_value(&mut rng, nan_pct)).collect();
+                let x = if k > 0 && rng.gen_range(0u32..100) < repeat_pct {
+                    seen[rng.gen_range(0..seen.len())].clone()
+                } else {
+                    let mut x: Vec<f32> =
+                        (0..width).map(|_| draw_value(&mut rng, nan_pct)).collect();
+                    if nan_column {
+                        x[width - 1] = f32::NAN;
+                    }
+                    x
+                };
+                seen.push(x.clone());
                 let signal = x[0].is_nan() || x[0] > 0.4;
                 let flip = k > n_obs / 2 || rng.gen_bool(0.15);
-                let y = if signal != flip { 1.0 } else { 0.0 };
+                let y = if (positive_start && k < every) || signal != flip { 1.0 } else { 0.0 };
                 let p = booster.observe(&x, y);
                 let p_ref = reference.observe(&x, y);
                 prop_assert_eq!(p.map(f64::to_bits), p_ref.map(f64::to_bits));

@@ -21,7 +21,13 @@
 //!   so a refresh costs only its new trees.
 //!
 //! The implementation is deterministic: identical data and parameters yield
-//! an identical model, bit for bit.
+//! an identical model, bit for bit. The kernels are laid out for speed
+//! without changing a single addition or comparison: split search reads
+//! each presorted feature list once and keeps one cut per run of equal
+//! values, the partition moves rows without branching on their side, and
+//! each tree is one array of 16-byte [`Node`]s that predictions walk four
+//! trees at a time, adding outputs in tree order. The reference booster in
+//! the unit tests checks all of it node for node and bit for bit.
 //!
 //! # Example
 //!

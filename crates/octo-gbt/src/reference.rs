@@ -125,7 +125,7 @@ impl<'a> TreeBuilder<'a> {
         let f = self.data.n_features();
         let mut tree = Tree::new(f);
         if n == 0 {
-            tree.push(Node::Leaf { value: 0.0 });
+            tree.push(Node::leaf(0.0));
             return tree;
         }
 
@@ -170,13 +170,7 @@ impl<'a> TreeBuilder<'a> {
             return tree.push(self.leaf(nd.stats));
         };
 
-        let idx = tree.push(Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            default_left: best.default_left,
-            left: 0,
-            right: 0,
-        });
+        let idx = tree.push(Node::split(best.feature, best.threshold, best.default_left));
         tree.record_gain(best.feature, best.gain);
 
         let (left, right) = self.partition(nd, &best);
@@ -188,9 +182,7 @@ impl<'a> TreeBuilder<'a> {
 
     /// The optimal leaf weight `−G/(H+λ)`, shrunk by the learning rate.
     fn leaf(&self, stats: GradStats) -> Node {
-        Node::Leaf {
-            value: -stats.g / (stats.h + self.params.lambda) * self.params.eta,
-        }
+        Node::leaf(-stats.g / (stats.h + self.params.lambda) * self.params.eta)
     }
 
     /// Exact greedy scan over every feature and threshold, scoring missing

@@ -12,27 +12,40 @@
 //! each candidate split is scored twice — missing-left and missing-right —
 //! to learn the default direction (the sparsity-aware algorithm).
 //!
-//! The partition routes rows by the rule [`Tree::predict`] applies, so the
-//! builder also reports each training row's leaf value. The booster adds
-//! those to its margins instead of walking the new tree once per row
-//! (XGBoost's prediction cache).
+//! Split search reads each feature list once. It writes the running
+//! gradient sum at every entry into a reused buffer, unconditionally, and
+//! moves its write cursor on only where the next value differs, so the
+//! buffer ends up holding one cut per run of equal values with no branch
+//! on the data. The running sum after the last entry is the list's present
+//! total: the same additions in the same order as a separate summing pass,
+//! so the same bits. The kept cuts are then scored in order, missing-right
+//! before missing-left, and a threshold is computed only for a candidate
+//! that becomes the best.
+//!
+//! The partition writes every item both to the left side and to a scratch
+//! buffer for the right side, and moves on only the cursor of the side the
+//! item belongs to: no branch on the item's side. It routes rows by the
+//! rule [`Tree::predict`] applies, so the builder also reports each
+//! training row's leaf value. The booster adds those to its margins
+//! instead of walking the new tree once per row (XGBoost's prediction
+//! cache).
 
 use crate::dataset::Window;
 use crate::params::GbtParams;
 use crate::tree::{Node, Tree};
 use std::ops::Range;
 
-/// Gradient statistics of a row set.
+/// The gradient and hessian of one row, or their sums over a row set.
 #[derive(Debug, Clone, Copy, Default)]
-struct GradStats {
-    g: f64,
-    h: f64,
+pub(crate) struct GradStats {
+    pub(crate) g: f64,
+    pub(crate) h: f64,
 }
 
 impl GradStats {
-    fn add(&mut self, g: f64, h: f64) {
-        self.g += g;
-        self.h += h;
+    fn add(&mut self, other: GradStats) {
+        self.g += other.g;
+        self.h += other.h;
     }
 
     fn minus(self, other: GradStats) -> GradStats {
@@ -46,6 +59,15 @@ impl GradStats {
     fn score(self, lambda: f64) -> f64 {
         self.g * self.g / (self.h + lambda)
     }
+
+    /// The sum over `rows`, in their order.
+    fn sum(grads: &[GradStats], rows: &[u32]) -> GradStats {
+        let mut sum = GradStats::default();
+        for &r in rows {
+            sum.add(grads[r as usize]);
+        }
+        sum
+    }
 }
 
 /// The winning split of a node, if any.
@@ -58,10 +80,19 @@ struct BestSplit {
 }
 
 /// A present feature value and the row it belongs to.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Entry {
     value: f32,
     row: u32,
+}
+
+/// A place where a feature list can be cut: after its entry `at`, whose
+/// value differs from the next one, with the gradient sum of the entries
+/// up to and including it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cut {
+    left: GradStats,
+    at: u32,
 }
 
 /// Every feature's present values, sorted by value and then by row: the
@@ -112,13 +143,6 @@ impl Columns {
     }
 }
 
-/// The gradient and hessian of every row, fixed while one tree grows.
-#[derive(Clone, Copy)]
-struct Grads<'g> {
-    grad: &'g [f64],
-    hess: &'g [f64],
-}
-
 /// Grows the trees of one boosting call, reusing its buffers across them.
 pub(crate) struct TreeBuilder<'a> {
     columns: &'a Columns,
@@ -133,9 +157,12 @@ pub(crate) struct TreeBuilder<'a> {
     ranges: Vec<(usize, usize)>,
     /// Which side each row of the node being split takes.
     goes_left: Vec<bool>,
-    /// The right-hand side of a stable in-place partition.
+    /// The right-hand side of a stable in-place partition, one slot per
+    /// row: no node or feature list is longer.
     scratch_rows: Vec<u32>,
     scratch_entries: Vec<Entry>,
+    /// The cuts of the feature list being scanned, one slot per row.
+    cuts: Vec<Cut>,
     /// Each row's leaf value in the last tree built.
     leaf_values: Vec<f64>,
 }
@@ -150,22 +177,22 @@ impl<'a> TreeBuilder<'a> {
             entries: Vec::with_capacity(columns.entries.len()),
             ranges: Vec::new(),
             goes_left: vec![false; n],
-            scratch_rows: Vec::with_capacity(n),
-            scratch_entries: Vec::with_capacity(n),
+            scratch_rows: vec![0; n],
+            scratch_entries: vec![Entry::default(); n],
+            cuts: vec![Cut::default(); n],
             leaf_values: vec![0.0; n],
         }
     }
 
-    /// Builds one tree against `grad`/`hess`. An empty window yields a
-    /// single zero leaf.
-    pub(crate) fn build(&mut self, grad: &[f64], hess: &[f64]) -> Tree {
+    /// Builds one tree against each row's gradient and hessian. An empty
+    /// window yields a single zero leaf.
+    pub(crate) fn build(&mut self, grads: &[GradStats]) -> Tree {
         let n = self.columns.n_rows;
-        debug_assert_eq!(n, grad.len());
-        debug_assert_eq!(n, hess.len());
+        debug_assert_eq!(n, grads.len());
         let n_features = self.columns.n_features();
         let mut tree = Tree::new(n_features);
         if n == 0 {
-            tree.push(Node::Leaf { value: 0.0 });
+            tree.push(Node::leaf(0.0));
             return tree;
         }
 
@@ -176,11 +203,8 @@ impl<'a> TreeBuilder<'a> {
         self.ranges.clear();
         self.ranges
             .extend(self.columns.starts.windows(2).map(|w| (w[0], w[1])));
-        let mut stats = GradStats::default();
-        for i in 0..n {
-            stats.add(grad[i], hess[i]);
-        }
-        self.grow(Grads { grad, hess }, 0..n, 0, stats, 0, &mut tree);
+        let stats = GradStats::sum(grads, &self.rows);
+        self.grow(grads, 0..n, 0, stats, 0, &mut tree);
         tree
     }
 
@@ -191,10 +215,10 @@ impl<'a> TreeBuilder<'a> {
     }
 
     /// Recursively grows the subtree of the node owning `rows` and the
-    /// feature ranges from `self.ranges[ranges]`, returning its arena index.
+    /// feature ranges from `self.ranges[ranges]`, returning its index.
     fn grow(
         &mut self,
-        g: Grads,
+        g: &[GradStats],
         rows: Range<usize>,
         ranges: usize,
         stats: GradStats,
@@ -208,13 +232,7 @@ impl<'a> TreeBuilder<'a> {
             return self.leaf(rows, stats, tree);
         };
 
-        let idx = tree.push(Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            default_left: best.default_left,
-            left: 0,
-            right: 0,
-        });
+        let idx = tree.push(Node::split(best.feature, best.threshold, best.default_left));
         tree.record_gain(best.feature, best.gain);
 
         // Route each row as `Tree::predict` will: a missing value takes the
@@ -228,17 +246,12 @@ impl<'a> TreeBuilder<'a> {
         }
 
         let goes_left = &self.goes_left;
-        let mut l_stats = GradStats::default();
-        let mut r_stats = GradStats::default();
-        let n_left = partition_stable(&mut self.rows[rows.clone()], &mut self.scratch_rows, |&r| {
-            let r = r as usize;
-            if goes_left[r] {
-                l_stats.add(g.grad[r], g.hess[r]);
-            } else {
-                r_stats.add(g.grad[r], g.hess[r]);
-            }
-            goes_left[r]
+        let node_rows = &mut self.rows[rows.clone()];
+        let n_left = partition_stable(node_rows, &mut self.scratch_rows, |&r| {
+            goes_left[r as usize]
         });
+        let l_stats = GradStats::sum(g, &node_rows[..n_left]);
+        let r_stats = GradStats::sum(g, &node_rows[n_left..]);
         let n_features = self.columns.n_features();
         let left_ranges = self.ranges.len();
         let right_ranges = left_ranges + n_features;
@@ -267,45 +280,59 @@ impl<'a> TreeBuilder<'a> {
         for &r in &self.rows[rows] {
             self.leaf_values[r as usize] = value;
         }
-        tree.push(Node::Leaf { value })
+        tree.push(Node::leaf(value))
     }
 
     /// Exact greedy scan over every feature and threshold, scoring missing
     /// values in both directions.
-    fn find_best_split(&self, g: Grads, ranges: usize, stats: GradStats) -> Option<BestSplit> {
+    fn find_best_split(
+        &mut self,
+        grads: &[GradStats],
+        ranges: usize,
+        stats: GradStats,
+    ) -> Option<BestSplit> {
         let parent_score = stats.score(self.params.lambda);
         let mut best: Option<BestSplit> = None;
 
-        let node_ranges = &self.ranges[ranges..ranges + self.columns.n_features()];
-        for (feat, &(a, b)) in node_ranges.iter().enumerate() {
+        let n_features = self.columns.n_features();
+        for feat in 0..n_features {
+            let (a, b) = self.ranges[ranges + feat];
             let list = &self.entries[a..b];
             if list.len() < 2 {
                 continue; // no threshold can separate fewer than two values
             }
-            let mut present = GradStats::default();
-            for e in list {
-                present.add(g.grad[e.row as usize], g.hess[e.row as usize]);
-            }
-            let missing = stats.minus(present);
 
+            // One pass: a cut after every entry, kept where the value moves.
+            let cuts = &mut self.cuts[..list.len() - 1];
             let mut left = GradStats::default();
-            for pair in list.windows(2) {
-                let (e, next) = (pair[0], pair[1]);
-                left.add(g.grad[e.row as usize], g.hess[e.row as usize]);
-                if e.value == next.value {
-                    continue; // can't separate equal values
-                }
-                let threshold = midpoint(e.value, next.value);
+            let mut n_cuts = 0;
+            for (at, pair) in list.windows(2).enumerate() {
+                left.add(grads[pair[0].row as usize]);
+                cuts[n_cuts] = Cut {
+                    left,
+                    at: at as u32,
+                };
+                n_cuts += usize::from(pair[0].value != pair[1].value);
+            }
+            let mut present = left;
+            present.add(grads[list[list.len() - 1].row as usize]);
+            let missing = stats.minus(present);
+            let any_missing = missing.h > 0.0 || missing.g != 0.0;
 
+            for cut in &self.cuts[..n_cuts] {
+                let threshold = || {
+                    let at = cut.at as usize;
+                    midpoint(list[at].value, list[at + 1].value)
+                };
                 // Candidate A: missing rows to the right.
-                let l_a = left;
-                let r_a = stats.minus(left);
+                let l_a = cut.left;
+                let r_a = stats.minus(l_a);
                 self.consider(&mut best, feat, threshold, false, l_a, r_a, parent_score);
 
                 // Candidate B: missing rows to the left.
-                if missing.h > 0.0 || missing.g != 0.0 {
-                    let mut l_b = left;
-                    l_b.add(missing.g, missing.h);
+                if any_missing {
+                    let mut l_b = cut.left;
+                    l_b.add(missing);
                     let r_b = stats.minus(l_b);
                     self.consider(&mut best, feat, threshold, true, l_b, r_b, parent_score);
                 }
@@ -314,13 +341,14 @@ impl<'a> TreeBuilder<'a> {
         best
     }
 
-    /// Scores one candidate and keeps it if it beats the incumbent.
+    /// Scores one candidate and keeps it if it beats the incumbent,
+    /// computing its threshold only then.
     #[allow(clippy::too_many_arguments)]
     fn consider(
         &self,
         best: &mut Option<BestSplit>,
         feature: usize,
-        threshold: f32,
+        threshold: impl Fn() -> f32,
         default_left: bool,
         l: GradStats,
         r: GradStats,
@@ -342,7 +370,7 @@ impl<'a> TreeBuilder<'a> {
         if better {
             *best = Some(BestSplit {
                 feature,
-                threshold,
+                threshold: threshold(),
                 default_left,
                 gain,
             });
@@ -352,24 +380,29 @@ impl<'a> TreeBuilder<'a> {
 
 /// Moves the items `left` accepts to the front of `items` and the rest
 /// behind them, each side keeping its order; `left` sees every item once,
-/// in order. Returns the number of left items.
+/// in order. `scratch` must be at least as long as `items`. Returns the
+/// number of left items.
+///
+/// Each item is written to both sides' cursors, and only its own side's
+/// cursor moves on, so no branch depends on the item's side. The left
+/// cursor never passes the item being read, so writing behind it in place
+/// is safe.
 fn partition_stable<T: Copy>(
     items: &mut [T],
-    scratch: &mut Vec<T>,
-    mut left: impl FnMut(&T) -> bool,
+    scratch: &mut [T],
+    left: impl Fn(&T) -> bool,
 ) -> usize {
-    scratch.clear();
-    let mut n_left = 0;
+    let scratch = &mut scratch[..items.len()];
+    let (mut n_left, mut n_right) = (0, 0);
     for i in 0..items.len() {
         let item = items[i];
-        if left(&item) {
-            items[n_left] = item;
-            n_left += 1;
-        } else {
-            scratch.push(item);
-        }
+        let goes_left = left(&item);
+        items[n_left] = item;
+        scratch[n_right] = item;
+        n_left += usize::from(goes_left);
+        n_right += usize::from(!goes_left);
     }
-    items[n_left..].copy_from_slice(scratch);
+    items[n_left..].copy_from_slice(&scratch[..n_right]);
     n_left
 }
 
@@ -390,6 +423,8 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, EMPTY_FOLD};
     use crate::objective;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Builds gradient vectors for the logistic objective at margin 0.
     fn grads_at_zero(data: &Dataset) -> (Vec<f64>, Vec<f64>) {
@@ -400,6 +435,14 @@ mod tests {
         (g, h)
     }
 
+    /// Each row's gradient and hessian as the builder takes them.
+    fn pairs(grad: &[f64], hess: &[f64]) -> Vec<GradStats> {
+        grad.iter()
+            .zip(hess)
+            .map(|(&g, &h)| GradStats { g, h })
+            .collect()
+    }
+
     /// Grows one tree over `data`, checking that every row's reported leaf
     /// value has the bits `Tree::predict` gives it and that the tree equals
     /// the reference builder's.
@@ -407,7 +450,7 @@ mod tests {
         let window = Window::from_dataset(data, |_| EMPTY_FOLD);
         let columns = Columns::presort(&window);
         let mut builder = TreeBuilder::new(&columns, params);
-        let tree = builder.build(grad, hess);
+        let tree = builder.build(&pairs(grad, hess));
         assert_eq!(builder.leaf_values().len(), data.n_rows());
         for i in 0..data.n_rows() {
             assert_eq!(
@@ -435,18 +478,9 @@ mod tests {
         let tree = build(&d, &g, &h, &params);
         assert_eq!(tree.depth(), 1);
         // The split should be between 4 and 5.
-        match &tree.nodes()[0] {
-            Node::Split {
-                feature, threshold, ..
-            } => {
-                assert_eq!(*feature, 0);
-                assert!(
-                    *threshold > 4.0 && *threshold <= 5.0,
-                    "threshold {threshold}"
-                );
-            }
-            other => panic!("expected root split, got {other:?}"),
-        }
+        let (feature, threshold, _) = tree.nodes()[0].split_rule().expect("root split");
+        assert_eq!(feature, 0);
+        assert!(threshold > 4.0 && threshold <= 5.0, "threshold {threshold}");
         // Left leaf pushes toward class 0 (negative margin), right toward 1.
         assert!(tree.predict(&[0.0]) < 0.0);
         assert!(tree.predict(&[9.0]) > 0.0);
@@ -591,10 +625,8 @@ mod tests {
             ..GbtParams::default()
         };
         let tree = build(&d, &g, &h, &params);
-        match &tree.nodes()[0] {
-            Node::Split { threshold, .. } => assert_eq!(threshold.to_bits(), hi.to_bits()),
-            other => panic!("expected root split, got {other:?}"),
-        }
+        let (_, threshold, _) = tree.nodes()[0].split_rule().expect("root split");
+        assert_eq!(threshold.to_bits(), hi.to_bits());
         assert!(tree.predict(&[hi]) > 0.0 && tree.predict(&[lo]) < 0.0);
     }
 
@@ -622,7 +654,7 @@ mod tests {
             let h: Vec<f64> = (0..d.n_rows())
                 .map(|i| objective::hess(margin + (i % 5) as f64 * 0.1))
                 .collect();
-            let tree = reused.build(&g, &h);
+            let tree = reused.build(&pairs(&g, &h));
             assert_eq!(tree, build(&d, &g, &h, &params), "round {round}");
         }
     }
@@ -696,12 +728,102 @@ mod tests {
 
     #[test]
     fn stable_partition_keeps_both_sides_in_order() {
-        let mut items: Vec<u32> = (0..20).collect();
-        let mut scratch = Vec::new();
-        let n_left = partition_stable(&mut items, &mut scratch, |&x| x % 3 == 1);
-        assert_eq!(n_left, 7);
-        let (l, r) = items.split_at(n_left);
-        assert!(l.iter().all(|x| x % 3 == 1) && l.windows(2).all(|w| w[0] < w[1]));
-        assert!(r.iter().all(|x| x % 3 != 1) && r.windows(2).all(|w| w[0] < w[1]));
+        // A shuffled input, so "in order" means the input's order.
+        let shuffled: Vec<u32> = (0..23).map(|i| (i * 7 + 3) % 23).collect();
+        type Case = (&'static str, Vec<u32>, fn(&u32) -> bool);
+        let cases: [Case; 6] = [
+            ("empty", Vec::new(), |_| true),
+            ("all left", shuffled.clone(), |_| true),
+            ("all right", shuffled.clone(), |_| false),
+            ("alternating", shuffled.clone(), |&x| x % 2 == 0),
+            ("alternating by position", (0..16).collect(), |&x| {
+                x % 2 == 1
+            }),
+            ("thirds", shuffled, |&x| x % 3 == 1),
+        ];
+        for (name, input, left) in cases {
+            let want_left: Vec<u32> = input.iter().copied().filter(left).collect();
+            let want_right: Vec<u32> = input.iter().copied().filter(|x| !left(x)).collect();
+            // The builder's scratch is as long as the window, so usually
+            // longer than the list being split.
+            for extra in [0, 5] {
+                let mut items = input.clone();
+                let mut scratch = vec![u32::MAX; input.len() + extra];
+                let n_left = partition_stable(&mut items, &mut scratch, left);
+                assert_eq!(&items[..n_left], &want_left[..], "{name}: left side");
+                assert_eq!(&items[n_left..], &want_right[..], "{name}: right side");
+            }
+        }
+    }
+
+    /// A window shaped like the simulator's access features (paper §4.1):
+    /// a size class, recency, up to eleven access deltas that are missing
+    /// for files with fewer accesses, and two creation deltas. Two rows in
+    /// five repeat an earlier row's columns, as a re-sampled file does, and
+    /// one label in ten is noise.
+    fn simulator_window(n: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut d = Dataset::new(15);
+        for i in 0..n {
+            if i > 0 && rng.gen_bool(0.4) {
+                let row = d.row(rng.gen_range(0..i)).to_vec();
+                let label = if rng.gen_bool(0.5) { 1.0 } else { 0.0 };
+                d.push_row(&row, label);
+                continue;
+            }
+            let mut x = [f32::NAN; 15];
+            x[0] = [0.0064f32, 0.0125, 0.025, 0.1, 0.4][rng.gen_range(0usize..5)];
+            let accesses = rng.gen_range(0usize..13);
+            let recency = rng.gen_range(0.0f32..1.0).powi(3);
+            if accesses > 0 {
+                x[1] = recency;
+            }
+            for slot in x
+                .iter_mut()
+                .skip(2)
+                .take(accesses.saturating_sub(1).min(11))
+            {
+                *slot = rng.gen_range(0.0f32..1.0).powi(4);
+            }
+            let age = recency + rng.gen_range(0.0f32..1.0) * (1.0 - recency);
+            if accesses > 0 {
+                x[13] = rng.gen_range(0.0f32..1.0) * (age - recency);
+            }
+            x[14] = age;
+            let label = if rng.gen_bool(0.1) {
+                rng.gen_bool(0.5)
+            } else {
+                recency < 0.2
+            };
+            d.push_row(&x, if label { 1.0 } else { 0.0 });
+        }
+        d
+    }
+
+    #[test]
+    fn depth_20_trees_on_a_simulator_shaped_window_match_the_reference() {
+        let d = simulator_window(2_000, 7);
+        let params = GbtParams::paper_access_model();
+        let window = Window::from_dataset(&d, |_| EMPTY_FOLD);
+        let columns = Columns::presort(&window);
+        let mut builder = TreeBuilder::new(&columns, &params);
+        let mut margins = vec![params.base_margin(); d.n_rows()];
+        let mut deepest = 0;
+        for round in 0..4 {
+            let g: Vec<f64> = (0..d.n_rows())
+                .map(|i| objective::grad(margins[i], d.label(i) as f64))
+                .collect();
+            let h: Vec<f64> = margins.iter().map(|&m| objective::hess(m)).collect();
+            let tree = builder.build(&pairs(&g, &h));
+            let reference = crate::reference::TreeBuilder::new(&d, &g, &h, &params).build();
+            assert_eq!(tree, reference, "round {round} differs from the reference");
+            for (i, m) in margins.iter_mut().enumerate() {
+                let output = builder.leaf_values()[i];
+                assert_eq!(output.to_bits(), tree.predict(d.row(i)).to_bits());
+                *m += output;
+            }
+            deepest = deepest.max(tree.depth());
+        }
+        assert!(deepest >= 12, "trees must grow deep, deepest {deepest}");
     }
 }

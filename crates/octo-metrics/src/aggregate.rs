@@ -263,6 +263,7 @@ mod tests {
             bytes_read_by_tier: by_tier,
             faults: octo_cluster::FaultSummary::default(),
             cache: octo_dfs::CacheStats::default(),
+            learners: Vec::new(),
         }
     }
 

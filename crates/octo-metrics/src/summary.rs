@@ -198,6 +198,7 @@ mod tests {
             bytes_read_by_tier: [ByteSize::mb(60), ByteSize::ZERO, ByteSize::mb(40)],
             faults: FaultSummary::default(),
             cache: octo_dfs::CacheStats::default(),
+            learners: Vec::new(),
         }
     }
 

@@ -20,6 +20,7 @@
 //! [`TransferId`]s whose I/O the cluster layer then simulates.
 
 use crate::parallel::{PhasePlan, ScanBatch};
+use octo_access::LearnerCounters;
 use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::{DowngradeTarget, EpochPool, TieredDfs, TransferId};
 use serde::{Deserialize, Serialize};
@@ -96,6 +97,36 @@ pub fn effective_utilization(dfs: &TieredDfs, tier: StorageTier) -> f64 {
         .fraction_of(capacity)
 }
 
+/// Which of the two tiering processes a policy drives.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum PolicyRole {
+    /// Algorithm 1: moving files down.
+    Downgrade,
+    /// Algorithm 2: moving files up.
+    Upgrade,
+}
+
+/// A learning policy's counters at the end of a run.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct LearnerReport {
+    /// The process the policy drives.
+    pub role: PolicyRole,
+    /// The policy's name ("xgb", "hybrid").
+    pub policy: String,
+    /// What its predictor and learner did.
+    pub counters: LearnerCounters,
+}
+
+impl LearnerReport {
+    fn new(role: PolicyRole, policy: &str, counters: LearnerCounters) -> Self {
+        LearnerReport {
+            role,
+            policy: policy.to_string(),
+            counters,
+        }
+    }
+}
+
 /// A downgrade policy: Algorithm 1's four decision points plus callbacks.
 pub trait DowngradePolicy {
     /// Short identifier used in reports ("lru", "xgb", ...).
@@ -143,6 +174,11 @@ pub trait DowngradePolicy {
 
     /// Periodic housekeeping (model training data sampling etc.).
     fn on_tick(&mut self, _dfs: &TieredDfs, _now: SimTime) {}
+
+    /// The counters of the policy's learner, for a policy that learns.
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        None
+    }
 
     /// Extends a budget-truncated shard scan: resumes the shard's index
     /// walk strictly after `resume` and returns up to `budget` more
@@ -211,6 +247,11 @@ pub trait UpgradePolicy {
 
     /// Periodic housekeeping.
     fn on_tick(&mut self, _dfs: &TieredDfs, _now: SimTime) {}
+
+    /// The counters of the policy's learner, for a policy that learns.
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        None
+    }
 }
 
 /// The Replication Manager's policy orchestrator.
@@ -235,6 +276,19 @@ impl TieringEngine {
             downgrade: None,
             upgrade: None,
         }
+    }
+
+    /// One entry per policy that learns, downgrade first.
+    pub fn learners(&self) -> Vec<LearnerReport> {
+        let downgrade = self.downgrade.as_ref().and_then(|p| {
+            p.learner_counters()
+                .map(|counters| LearnerReport::new(PolicyRole::Downgrade, p.name(), counters))
+        });
+        let upgrade = self.upgrade.as_ref().and_then(|p| {
+            p.learner_counters()
+                .map(|counters| LearnerReport::new(PolicyRole::Upgrade, p.name(), counters))
+        });
+        downgrade.into_iter().chain(upgrade).collect()
     }
 
     /// Names of the active policies, for reports.

@@ -35,8 +35,8 @@ pub mod xgb;
 
 pub use classic::{LfuDowngrade, LruDowngrade, OsaUpgrade};
 pub use framework::{
-    effective_utilization, DowngradePolicy, TieringConfig, TieringEngine, UpgradeChoice,
-    UpgradePolicy,
+    effective_utilization, DowngradePolicy, LearnerReport, PolicyRole, TieringConfig,
+    TieringEngine, UpgradeChoice, UpgradePolicy,
 };
 pub use pacman::{LfuFDowngrade, LifeDowngrade};
 pub use parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan, ScanBatch};

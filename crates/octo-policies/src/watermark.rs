@@ -34,7 +34,7 @@ use crate::framework::{
 };
 use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
 use crate::xgb::{sample_files, DOWNGRADE_WINDOW, UPGRADE_WINDOW};
-use octo_access::{AccessPredictor, LearnerConfig};
+use octo_access::{AccessPredictor, LearnerConfig, LearnerCounters};
 use octo_common::{ByteSize, DetRng, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
 use std::collections::{BTreeSet, HashMap};
@@ -373,6 +373,10 @@ impl DowngradePolicy for HybridDowngrade {
         "hybrid"
     }
 
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        Some(self.predictor.counters())
+    }
+
     fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
         effective_utilization(dfs, tier) > self.cfg.start_threshold
     }
@@ -454,6 +458,10 @@ impl HybridUpgrade {
 impl UpgradePolicy for HybridUpgrade {
     fn name(&self) -> &'static str {
         "hybrid"
+    }
+
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        Some(self.predictor.counters())
     }
 
     fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool {

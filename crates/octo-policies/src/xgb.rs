@@ -19,7 +19,7 @@ use crate::framework::{
     effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
 };
 use crate::parallel::{encode_f64, shard_budget, victim_hint, Candidate, PhasePlan, ScanBatch};
-use octo_access::{AccessPredictor, LearnerConfig};
+use octo_access::{AccessPredictor, LearnerConfig, LearnerCounters};
 use octo_common::{ByteSize, DetRng, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::TieredDfs;
 use std::collections::{BTreeSet, HashMap};
@@ -133,6 +133,10 @@ impl XgbDowngrade {
 impl DowngradePolicy for XgbDowngrade {
     fn name(&self) -> &'static str {
         "xgb"
+    }
+
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        Some(self.predictor.counters())
     }
 
     fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
@@ -250,6 +254,10 @@ impl XgbUpgrade {
 impl UpgradePolicy for XgbUpgrade {
     fn name(&self) -> &'static str {
         "xgb"
+    }
+
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        Some(self.predictor.counters())
     }
 
     fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, _now: SimTime) -> bool {
