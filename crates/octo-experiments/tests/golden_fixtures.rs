@@ -144,18 +144,10 @@ fn lru_osa_cache_quick_run_matches_golden_fixture() {
     check("lru_osa_cache_quick", report_digest(&report));
 }
 
-/// The pinned heat-score watermark run. The vacuity guard requires the
-/// policy to have actually moved bytes in both directions — hot files
-/// promoted, cold-band files demoted — so the digest pins working
-/// watermark machinery, not a policy that never fired.
-#[test]
-fn watermark_osa_quick_run_matches_golden_fixture() {
-    let settings = ExpSettings::quick(3);
-    let trace = settings.trace(TraceKind::Facebook);
-    let report = run_trace(
-        settings.sim(Scenario::policy_pair("watermark", "osa")),
-        &trace,
-    );
+/// The vacuity guard of the policy-pair runs: the pair must have moved
+/// bytes in both directions — files promoted and files demoted — so a
+/// digest pins both policies at work, not a pair that never fired.
+fn assert_moved_both_ways(report: &octo_cluster::RunReport, name: &str) {
     let up: u64 = octo_common::StorageTier::ALL
         .iter()
         .map(|&t| report.movement.upgraded_to.get(t).as_bytes())
@@ -164,9 +156,57 @@ fn watermark_osa_quick_run_matches_golden_fixture() {
         .iter()
         .map(|&t| report.movement.downgraded_to.get(t).as_bytes())
         .sum();
-    assert!(up > 0, "pinned watermark run never promoted a file");
-    assert!(down > 0, "pinned watermark run never demoted a file");
-    check("watermark_osa_quick", report_digest(&report));
+    assert!(up > 0, "pinned {name} run never promoted a file");
+    assert!(down > 0, "pinned {name} run never demoted a file");
+}
+
+/// One quick FB run of a policy pair, checked against its fixture.
+fn check_quick_pair(down: &str, up: &str) {
+    let settings = ExpSettings::quick(3);
+    let trace = settings.trace(TraceKind::Facebook);
+    let report = run_trace(settings.sim(Scenario::policy_pair(down, up)), &trace);
+    let name = format!("{down}_{up}_quick");
+    assert_moved_both_ways(&report, &name);
+    check(&name, report_digest(&report));
+}
+
+/// The pinned heat-score watermark run: hot files promoted, cold-band
+/// files demoted, so the digest pins working watermark machinery.
+#[test]
+fn watermark_osa_quick_run_matches_golden_fixture() {
+    check_quick_pair("watermark", "osa");
+}
+
+/// The tournament pairs no other fixture covers. Each pins its downgrade
+/// order and its upgrade admission rule end to end.
+#[test]
+fn lfu_osa_quick_run_matches_golden_fixture() {
+    check_quick_pair("lfu", "osa");
+}
+
+#[test]
+fn lrfu_lrfu_quick_run_matches_golden_fixture() {
+    check_quick_pair("lrfu", "lrfu");
+}
+
+#[test]
+fn exd_exd_quick_run_matches_golden_fixture() {
+    check_quick_pair("exd", "exd");
+}
+
+#[test]
+fn watermark_watermark_quick_run_matches_golden_fixture() {
+    check_quick_pair("watermark", "watermark");
+}
+
+/// Like `xgb_xgb_quick`, this run never activates its upgrade model: the
+/// upgrade learner is asked no prediction, so the digest pins the hybrid
+/// upgrade's warm-up admission (hot-band files on access) only. The batch
+/// the serving model plans is pinned by the unit pins in
+/// `octo-policies/tests/xgb_sampling_determinism.rs`.
+#[test]
+fn hybrid_hybrid_quick_run_matches_golden_fixture() {
+    check_quick_pair("hybrid", "hybrid");
 }
 
 #[test]

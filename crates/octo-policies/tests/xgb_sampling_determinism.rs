@@ -17,15 +17,18 @@
 //! The upgrade pin covers Algorithm 2 with the model serving: each run
 //! scores the MRU candidate window once per pick, so it pins the planned
 //! files of several runs, with model refreshes between them, plus the
-//! prediction bits the first run starts from.
+//! prediction bits the first run starts from. The hybrid pin covers the
+//! same batch with the watermark bands vetoing cold candidates, and the
+//! on-access pins cover the LRFU, EXD and watermark admission rules: each
+//! plans something OSA would not, or refuses something OSA plans.
 
 use octo_access::LearnerConfig;
 use octo_common::{ByteSize, FileId, PerTier, SimDuration, SimTime, StorageTier};
 use octo_dfs::{DfsConfig, DowngradeTarget, EpochPool, TieredDfs};
 use octo_gbt::GbtParams;
 use octo_policies::{
-    DowngradePolicy, HybridDowngrade, OsaUpgrade, TieringConfig, TieringEngine, UpgradePolicy,
-    WatermarkDowngrade, XgbDowngrade, XgbUpgrade,
+    upgrade_policy, DowngradePolicy, HybridDowngrade, OsaUpgrade, TieringConfig, TieringEngine,
+    UpgradePolicy, WatermarkDowngrade, XgbDowngrade, XgbUpgrade,
 };
 use std::fmt::Write as _;
 
@@ -334,4 +337,113 @@ fn xgb_upgrade_active_model_picks_are_pinned() {
         11_323_033_784_145_035_932,
         "upgrade model prediction bits diverged"
     );
+}
+
+/// An upgrade policy by registry name, with the learner of the hybrid
+/// downgrade pin: its gate opens as soon as the first model has scored a
+/// quarter of its short evaluation window.
+fn upgrade(name: &str, cfg: &TieringConfig) -> Box<dyn UpgradePolicy> {
+    let learner = LearnerConfig {
+        activation_error: 1.5,
+        eval_window: 8,
+        ..quick_learner()
+    };
+    upgrade_policy(name, cfg, &learner, 7).expect("registered policy")
+}
+
+/// `upgrade_runs` over `populate`'s history with even files out of memory.
+fn runs_with_free_memory(
+    mut policy: Box<dyn UpgradePolicy>,
+    touch: &[[u64; 2]; 3],
+) -> Vec<Vec<u64>> {
+    let mut dfs = small_dfs();
+    let files = populate(&mut dfs, &mut *policy);
+    free_memory(&mut dfs, &files);
+    upgrade_runs(&mut dfs, policy, touch)
+}
+
+#[test]
+fn hybrid_upgrade_active_model_picks_are_pinned() {
+    let touch = [[31u64, 2], [17, 33], [8, 26]];
+    // A cold watermark low enough that recently read files are not vetoed
+    // as cold; the default one vetoes every candidate on this history.
+    let cfg = TieringConfig {
+        xgb_upgrade_limit: ByteSize::mb(400),
+        watermark_cold: 0.03,
+        ..TieringConfig::default()
+    };
+    let hybrid = runs_with_free_memory(upgrade("hybrid", &cfg), &touch);
+    let xgb = runs_with_free_memory(upgrade("xgb", &cfg), &touch);
+    let pinned: &[&[u64]] = &[&[26, 34, 8, 16, 28], &[], &[]];
+    assert_eq!(hybrid, pinned, "hybrid upgrade picks diverged");
+    // The vacuity guard: the band veto must change what the model picks.
+    assert_ne!(hybrid, xgb, "the bands must veto some of XGB's picks");
+}
+
+#[test]
+fn lrfu_and_watermark_upgrade_admissions_are_pinned() {
+    // File 10 is read in the first two runs, 6 in the first two, 2 and 20
+    // in the last; only repeated or recent reads pass the thresholds.
+    let touch = [[6u64, 10], [10, 6], [2, 20]];
+    let cfg = TieringConfig {
+        lrfu_upgrade_threshold: 1.5,
+        watermark_hot: 1.5,
+        ..TieringConfig::default()
+    };
+    let osa = runs_with_free_memory(Box::new(OsaUpgrade), &touch);
+    let lrfu = runs_with_free_memory(upgrade("lrfu", &cfg), &touch);
+    let watermark = runs_with_free_memory(upgrade("watermark", &cfg), &touch);
+    let osa_pin: &[&[u64]] = &[&[6], &[10], &[2]];
+    let lrfu_pin: &[&[u64]] = &[&[], &[10], &[2]];
+    let watermark_pin: &[&[u64]] = &[&[], &[10], &[]];
+    assert_eq!(osa, osa_pin, "OSA plans every accessed file out of memory");
+    assert_eq!(lrfu, lrfu_pin, "LRFU admission diverged");
+    assert_eq!(watermark, watermark_pin, "watermark admission diverged");
+}
+
+/// Extends `populate`'s history so memory lacks room for a whole file
+/// but holds the blocks it misses: a 1,100 MB file created at 24,000 s
+/// lands partly in memory and partly on SSD, then the first six files
+/// fully in memory are deleted. Returns the new file.
+fn crowd_memory(dfs: &mut TieredDfs, policy: &mut dyn UpgradePolicy, files: &[FileId]) -> FileId {
+    let now = SimTime::from_secs(24_000);
+    let plan = dfs.create_file("/t/big", ByteSize::mb(1_100), now).unwrap();
+    dfs.commit_file(plan.file, now).unwrap();
+    policy.on_file_created(dfs, plan.file, now);
+    let resident: Vec<FileId> = files
+        .iter()
+        .copied()
+        .filter(|f| dfs.file_fully_on_tier(*f, MEM))
+        .take(6)
+        .collect();
+    for f in resident {
+        dfs.delete_file(f).unwrap();
+        policy.on_file_deleted(f, now);
+    }
+    plan.file
+}
+
+#[test]
+fn exd_upgrade_admission_weighs_the_residents_it_would_evict() {
+    let run = |mut policy: Box<dyn UpgradePolicy>| {
+        let mut dfs = small_dfs();
+        let files = populate(&mut dfs, &mut *policy);
+        let big = crowd_memory(&mut dfs, &mut *policy, &files);
+        let (committed, capacity) = dfs.tier_usage(MEM);
+        let size = dfs.file_meta(big).unwrap().size;
+        assert!(
+            capacity.saturating_sub(committed) < size,
+            "memory must lack room for the whole file"
+        );
+        let touch = [[big.raw(), 31], [big.raw(), 17], [big.raw(), 8]];
+        upgrade_runs(&mut dfs, policy, &touch)
+    };
+    let osa = run(Box::new(OsaUpgrade));
+    let exd = run(upgrade("exd", &TieringConfig::default()));
+    // OSA moves the file at its first read. EXD waits until the file's
+    // weight beats the residents that would make room for it.
+    let osa_pin: &[&[u64]] = &[&[36], &[], &[]];
+    let exd_pin: &[&[u64]] = &[&[], &[36], &[]];
+    assert_eq!(osa, osa_pin, "OSA plans the file at its first read");
+    assert_eq!(exd, exd_pin, "EXD admission diverged");
 }
