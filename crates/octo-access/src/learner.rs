@@ -236,11 +236,17 @@ impl IncrementalLearner {
     /// `None` before activation (paper §4.4: the system falls back to its
     /// non-ML behaviour until the model is trusted).
     pub fn predict(&self, features: &[f32]) -> Option<f64> {
+        self.serve(|m| Some(m.predict_proba(features)))
+    }
+
+    /// Asks the activation gate, and scores with `score` only once it is
+    /// open: a refused ask costs no work.
+    pub(crate) fn serve(&self, score: impl FnOnce(&Gbt) -> Option<f64>) -> Option<f64> {
         self.predictions_asked.bump();
         if !self.activated {
             return None;
         }
-        let p = self.model().map(|m| m.predict_proba(features));
+        let p = self.model().and_then(score);
         if p.is_some() {
             self.predictions_served.bump();
         }

@@ -95,9 +95,17 @@ impl AccessPredictor {
     }
 
     /// P(access within `w` of `now`) for a file, once the model serves.
+    /// A file created after `now` has no features and is not asked of the
+    /// model; the others are asked before their features are extracted,
+    /// so a refusal costs no extraction.
     pub fn predict(&self, stats: &AccessStats, now: SimTime) -> Option<f64> {
-        let features = self.features().extract(stats, now)?;
-        self.learner.predict(&features)
+        if stats.created > now {
+            return None;
+        }
+        self.learner.serve(|model| {
+            let features = self.features().extract(stats, now)?;
+            Some(model.predict_proba(&features))
+        })
     }
 
     /// What this predictor and its learner did so far.
