@@ -3,8 +3,15 @@
 //! Where the [`framework`](crate::framework) engine makes decisions *inside*
 //! a running simulation, this module plans against the backend trait alone:
 //! anything that can list files with access statistics and probe tier
-//! capacity — the simulated cluster or a real directory tree — can be
-//! planned over. `octoctl plan` and `octoctl daemon` are the consumers.
+//! capacity — a real directory tree behind `FsBackend` — can be planned
+//! over. `octoctl plan` and `octoctl daemon` are the consumers.
+//!
+//! The planner scores with the watermark policy's bands but decides
+//! differently, because it sees one listing instead of an event stream:
+//! it has no band history, so it classifies by the entry thresholds alone
+//! (no hysteresis); it scores the heat the backend estimates, not the
+//! simulator's exact fold; and it stops a tier's evictions at `<=` its
+//! stop threshold, where the engine stops at `<`.
 //!
 //! Plans are **deterministic**: files arrive in ascending path order,
 //! every ordering ties on the path, and the backend's logical clock (not
@@ -19,7 +26,6 @@ use crate::framework::TieringConfig;
 use crate::watermark::{Band, Watermarks};
 use octo_common::{OctoError, Result, StorageTier};
 use octo_dfs::backend::{FileRecord, StorageBackend, TierStatus};
-use octo_dfs::HeatConfig;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -57,14 +63,12 @@ impl PlanStrategy {
     }
 }
 
-/// Planner parameters: the shared tiering thresholds plus the heat fold.
+/// Planner parameters: the shared tiering thresholds and the scoring.
+/// Heat comes scored from the backend, which folds it at its own clock.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Shared policy thresholds (start/stop utilization, watermarks).
     pub tiering: TieringConfig,
-    /// Heat-fold parameters (used to document the plan; backends fold heat
-    /// themselves at their own clock).
-    pub heat: HeatConfig,
     /// Scoring strategy.
     pub strategy: PlanStrategy,
     /// Cap on planned moves per cycle; `0` = unbounded.
@@ -75,7 +79,6 @@ impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             tiering: TieringConfig::default(),
-            heat: HeatConfig::default(),
             strategy: PlanStrategy::Watermark,
             max_moves: 0,
         }

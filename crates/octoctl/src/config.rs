@@ -183,7 +183,6 @@ impl OctoctlConfig {
         };
         PlannerConfig {
             tiering,
-            heat: self.heat_config(),
             strategy: self.strategy_enum().expect("validated strategy"),
             max_moves: self.max_moves as usize,
         }
