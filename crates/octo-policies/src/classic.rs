@@ -1,12 +1,11 @@
 //! Classic eviction policies: LRU and LFU (paper Table 1).
 
-use crate::framework::{effective_utilization, DowngradePolicy, TieringConfig};
+use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{
     exhaustive_phase, shard_budget, victim_hint, Candidate, PhasePlan, ScanBatch,
 };
 use octo_common::{FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
-use std::collections::BTreeSet;
 
 /// The time a file counts as "last used": its last access, or its creation
 /// for never-accessed files.
@@ -18,6 +17,15 @@ pub(crate) fn last_used(dfs: &TieredDfs, file: FileId) -> SimTime {
 
 pub(crate) fn access_count(dfs: &TieredDfs, file: FileId) -> u64 {
     dfs.file_stats(file).map_or(0, |s| s.total_accesses)
+}
+
+/// The least-frequently-used order: ascending (access count, last use, id).
+pub(crate) fn lfu_key(dfs: &TieredDfs, file: FileId) -> [u64; 3] {
+    [
+        access_count(dfs, file),
+        last_used(dfs, file).as_millis(),
+        file.raw(),
+    ]
 }
 
 /// One shard's slice of the LRU candidate stream: the first `budget`
@@ -69,12 +77,8 @@ impl DowngradePolicy for LruDowngrade {
         "lru"
     }
 
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
     fn scan_phases(
@@ -124,12 +128,8 @@ impl DowngradePolicy for LfuDowngrade {
         "lfu"
     }
 
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
     fn scan_phases(
@@ -139,55 +139,25 @@ impl DowngradePolicy for LfuDowngrade {
         tier: StorageTier,
         _now: SimTime,
     ) -> Vec<PhasePlan> {
-        // Frequency has no maintained index, so the scan is exhaustive;
-        // the victim order is ascending (count, last use, id).
+        // Frequency has no maintained index, so the scan is exhaustive.
         vec![exhaustive_phase(pool, dfs, tier, 1, |dfs, f| {
-            let key = [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()];
-            Some(Candidate::keyed(key, f))
+            Some(Candidate::keyed(lfu_key(dfs, f), f))
         })]
     }
 }
 
 /// On Single Access: upgrade a file into memory when it is read and not
-/// already there (paper Table 2). Upgrades from HDD to SSD are not allowed —
-/// the target is always the memory tier.
+/// already there (paper Table 2): it admits every accessed file. Upgrades
+/// from HDD to SSD are not allowed — the target is always the memory tier.
 #[derive(Debug, Clone)]
 pub struct OsaUpgrade;
 
-impl crate::framework::UpgradePolicy for OsaUpgrade {
+impl UpgradePolicy for OsaUpgrade {
     fn name(&self) -> &'static str {
         "osa"
     }
 
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, _now: SimTime) -> bool {
-        accessed
-            .is_some_and(|f| dfs.is_movable(f) && !dfs.file_fully_on_tier(f, StorageTier::Memory))
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        _now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<crate::framework::UpgradeChoice> {
-        let f = accessed?;
-        if already.contains(&f) || !dfs.is_movable(f) {
-            return None;
-        }
-        Some(crate::framework::UpgradeChoice {
-            file: f,
-            to: StorageTier::Memory,
-        })
-    }
-
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        _scheduled: octo_common::ByteSize,
-        _count: u32,
-    ) -> bool {
-        true // at most the accessed file
+    fn admits(&self, _dfs: &TieredDfs, _file: FileId, _now: SimTime) -> bool {
+        true
     }
 }

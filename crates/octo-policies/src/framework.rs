@@ -1,6 +1,6 @@
 //! The pluggable policy framework (paper §3.2, Algorithms 1 and 2).
 //!
-//! A policy answers the four decision points:
+//! The paper's framework has each policy answer four decision points:
 //!
 //! 1. *when to start* the downgrade/upgrade process,
 //! 2. *which file* to move,
@@ -8,23 +8,43 @@
 //!    the multi-objective placement policy, §5.3/§6.3),
 //! 4. *when to stop* the process.
 //!
-//! plus lifecycle callbacks (file created / accessed / deleted, periodic
-//! tick) through which stateful policies maintain weights or train models.
+//! Every built-in policy answers most of them alike, so the
+//! [`TieringEngine`] answers those once, for all of them:
 //!
-//! A downgrade policy answers decision point 2 with a victim *order*: its
-//! per-shard candidate scans ([`DowngradePolicy::scan_phases`]), which the
-//! engine merges and consumes one victim at a time ([`crate::parallel`]).
+//! * **Algorithm 1.** A run starts when the tier's
+//!   [`effective_utilization`] is above the policy's `start_threshold`,
+//!   sends every victim to [`DowngradeTarget::Auto`] (the placement policy
+//!   picks a lower tier), and stops after the first victim that leaves
+//!   the tier below `stop_threshold`. A [`DowngradePolicy`] supplies only
+//!   its thresholds ([`DowngradePolicy::tiering`]) and decision point 2:
+//!   the victim order, as per-shard candidate scans
+//!   ([`DowngradePolicy::scan_phases`]) that the engine merges and
+//!   consumes one victim at a time ([`crate::parallel`]).
+//! * **Algorithm 2.** On an access, the accessed file moves to memory
+//!   when it is movable, not fully in memory, and the policy
+//!   [admits](UpgradePolicy::admits) it: at most one file, and none on the
+//!   periodic invocation that has no accessed file. An [`UpgradePolicy`]
+//!   supplies only that admission predicate — except the learned one,
+//!   which supplies a model: once it serves
+//!   ([`UpgradePolicy::serving`]), the engine plans
+//!   [`XgbUpgrade`]'s batch of the most probably re-read files instead.
+//!
+//! Both traits also carry lifecycle callbacks (file created / accessed /
+//! deleted, periodic tick) through which stateful policies maintain
+//! weights or train models.
 //!
 //! [`TieringEngine`] is the Replication Manager's orchestration loop: it
 //! runs Algorithm 1 and Algorithm 2 against a [`TieredDfs`], producing the
 //! [`TransferId`]s whose I/O the cluster layer then simulates.
+//!
+//! [`DowngradeTarget::Auto`]: octo_dfs::DowngradeTarget::Auto
 
 use crate::parallel::{PhasePlan, ScanBatch};
+use crate::xgb::XgbUpgrade;
 use octo_access::LearnerCounters;
 use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
-use octo_dfs::{DowngradeTarget, EpochPool, TieredDfs, TransferId};
+use octo_dfs::{EpochPool, TieredDfs, TransferId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Tunable thresholds shared by the built-in policies (paper defaults).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,20 +147,20 @@ impl LearnerReport {
     }
 }
 
-/// A downgrade policy: Algorithm 1's four decision points plus callbacks.
+/// A downgrade policy: Algorithm 1's victim order plus callbacks. The
+/// engine decides when a run starts and stops, and where victims go.
 pub trait DowngradePolicy {
     /// Short identifier used in reports ("lru", "xgb", ...).
     fn name(&self) -> &'static str;
 
-    /// Decision point 1: should the downgrade process start for `tier`?
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, now: SimTime) -> bool;
+    /// The thresholds the engine starts and stops this policy's runs at.
+    fn tiering(&self) -> &TieringConfig;
 
     /// Decision point 2: the run's victim order, as read-only per-shard
     /// candidate scans fanned out over `pool` (see [`crate::parallel`]).
-    /// Called after [`DowngradePolicy::start_downgrade`] returned `true`
-    /// and before anything is planned. The engine then takes victims in
-    /// that order, planning each and checking
-    /// [`DowngradePolicy::stop_downgrade`] after every one.
+    /// Called once a run has started and before anything is planned. The
+    /// engine then takes victims in that order, planning each and
+    /// checking the stop threshold after every one.
     fn scan_phases(
         &self,
         pool: &EpochPool,
@@ -148,20 +168,6 @@ pub trait DowngradePolicy {
         tier: StorageTier,
         now: SimTime,
     ) -> Vec<PhasePlan>;
-
-    /// Decision point 3: where the replicas go (default: let the placement
-    /// policy choose among lower tiers, per §5.3).
-    fn select_target(
-        &mut self,
-        _dfs: &TieredDfs,
-        _file: FileId,
-        _from: StorageTier,
-    ) -> DowngradeTarget {
-        DowngradeTarget::Auto
-    }
-
-    /// Decision point 4: should the process stop?
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, now: SimTime) -> bool;
 
     /// A file was created and committed.
     fn on_file_created(&mut self, _dfs: &TieredDfs, _file: FileId, _now: SimTime) {}
@@ -198,43 +204,22 @@ pub trait DowngradePolicy {
     }
 }
 
-/// An upgrade request produced by Algorithm 2's inner loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct UpgradeChoice {
-    /// File to move up.
-    pub file: FileId,
-    /// Destination tier.
-    pub to: StorageTier,
-}
-
-/// An upgrade policy: Algorithm 2's decision points plus callbacks.
+/// An upgrade policy: Algorithm 2's admission rule plus callbacks. The
+/// engine decides which file is considered, where it goes and how many
+/// move.
 pub trait UpgradePolicy {
     /// Short identifier used in reports ("osa", "xgb", ...).
     fn name(&self) -> &'static str;
 
-    /// Decision point 1: should the upgrade process start? `accessed` is the
-    /// file whose access triggered the invocation (absent on the periodic
-    /// proactive invocation).
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool;
+    /// Whether the accessed `file` — movable and not fully in memory —
+    /// moves up to memory.
+    fn admits(&self, dfs: &TieredDfs, file: FileId, now: SimTime) -> bool;
 
-    /// Decision points 2+3: next file to upgrade and its target tier.
-    /// `already` holds files selected earlier in this run.
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice>;
-
-    /// Decision point 4: stop after `scheduled` bytes across `count` files?
-    fn stop_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        now: SimTime,
-        scheduled: ByteSize,
-        count: u32,
-    ) -> bool;
+    /// The learned policy, once its model serves: the engine then plans
+    /// its batch in place of the on-access rule.
+    fn serving(&self) -> Option<&XgbUpgrade> {
+        None
+    }
 
     /// A file was created and committed.
     fn on_file_created(&mut self, _dfs: &TieredDfs, _file: FileId, _now: SimTime) {}
@@ -312,11 +297,14 @@ impl TieringEngine {
     }
 
     /// Runs Algorithm 1 for `tier` with the candidate scan fanned out over
-    /// `pool`, returning the transfers planned: the policy's
-    /// [`DowngradePolicy::scan_phases`] scans the shards (inline and in
-    /// shard order on a one-thread pool), then one serial merge commits
-    /// the victims in order. The victims are byte-identical at any pool
-    /// width (the determinism tests pin this against the golden digests).
+    /// `pool`, returning the transfers planned. A run starts when the
+    /// tier's effective utilization is above the policy's start
+    /// threshold: the policy's [`DowngradePolicy::scan_phases`] scans the
+    /// shards (inline and in shard order on a one-thread pool), then one
+    /// serial merge commits the victims in order until the tier falls
+    /// below the stop threshold. The victims are byte-identical at any
+    /// pool width (the determinism tests pin this against the golden
+    /// digests).
     pub fn run_downgrade_pooled(
         &mut self,
         dfs: &mut TieredDfs,
@@ -324,47 +312,43 @@ impl TieringEngine {
         now: SimTime,
         pool: &EpochPool,
     ) -> Vec<TransferId> {
-        let Some(policy) = self.downgrade.as_mut() else {
+        let Some(policy) = self.downgrade.as_deref() else {
             return Vec::new();
         };
-        if !policy.start_downgrade(dfs, tier, now) {
-            return Vec::new();
+        if effective_utilization(dfs, tier) > policy.tiering().start_threshold {
+            let phases = policy.scan_phases(pool, dfs, tier, now);
+            crate::parallel::run_merge_commit(policy, dfs, tier, now, phases)
+        } else {
+            Vec::new()
         }
-        let phases = policy.scan_phases(pool, dfs, tier, now);
-        crate::parallel::run_merge_commit(&mut **policy, dfs, tier, now, phases)
     }
 
     /// Runs Algorithm 2, returning the transfers planned. `accessed` is the
-    /// file being read (if this invocation piggybacks on an access).
+    /// file being read (if this invocation piggybacks on an access). A
+    /// learned policy whose model serves plans its batch; otherwise the
+    /// accessed file moves to memory if it is movable, not fully in
+    /// memory, and the policy admits it.
     pub fn run_upgrade(
         &mut self,
         dfs: &mut TieredDfs,
         accessed: Option<FileId>,
         now: SimTime,
     ) -> Vec<TransferId> {
-        let Some(policy) = self.upgrade.as_mut() else {
+        let Some(policy) = self.upgrade.as_deref() else {
             return Vec::new();
         };
-        let mut planned = Vec::new();
-        if !policy.start_upgrade(dfs, accessed, now) {
-            return planned;
+        if let Some(learned) = policy.serving() {
+            return learned.plan_batch(dfs, now);
         }
-        let mut already = BTreeSet::new();
-        let mut scheduled = ByteSize::ZERO;
-        while let Some(choice) = policy.select_upgrade(dfs, accessed, now, &already) {
-            already.insert(choice.file);
-            if let Ok(id) = dfs.plan_upgrade(choice.file, choice.to) {
-                scheduled += dfs
-                    .transfer(id)
-                    .map(|t| t.bytes_moving())
-                    .unwrap_or(ByteSize::ZERO);
-                planned.push(id);
-            }
-            if policy.stop_upgrade(dfs, now, scheduled, planned.len() as u32) {
-                break;
-            }
-        }
-        planned
+        let admitted = accessed.filter(|&f| {
+            dfs.is_movable(f)
+                && !dfs.file_fully_on_tier(f, StorageTier::Memory)
+                && policy.admits(dfs, f, now)
+        });
+        admitted
+            .and_then(|f| dfs.plan_upgrade(f, StorageTier::Memory).ok())
+            .into_iter()
+            .collect()
     }
 
     /// Fans a file-created event out to both policies.

@@ -14,102 +14,64 @@
 //! *prefix* of the index walk and `P_new` the remaining suffix, so one
 //! pass over each shard's slice classifies it into both.
 
-use crate::classic::{access_count, last_used};
-use crate::framework::{effective_utilization, DowngradePolicy, TieringConfig};
+use crate::classic::{access_count, lfu_key};
+use crate::framework::{DowngradePolicy, TieringConfig};
 use crate::parallel::{Candidate, PhasePlan, ScanBatch};
-use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
+use octo_common::{FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, ShardEpochPlan, TieredDfs};
 
-fn file_size(dfs: &TieredDfs, f: FileId) -> ByteSize {
-    dfs.file_meta(f).map_or(ByteSize::ZERO, |m| m.size)
+/// LIFE's `P_new` order: the largest file first, ties on ascending id.
+fn largest_first(dfs: &TieredDfs, f: FileId) -> [u64; 3] {
+    let size = dfs.file_meta(f).map_or(0, |m| m.size.as_bytes());
+    [!size, f.raw(), 0]
 }
 
-/// The scan shared by LIFE and LFU-F. Old/new membership is frozen
-/// within a run (`now` and the index's last-use times do not move), so
-/// each shard classifies its recency slice once into a `P_old` and a
-/// `P_new` batch; the driver exhausts the merged `P_old` phase before
-/// touching `P_new`. `P_old` goes least frequently used first; `new_key`
-/// is the ascending `P_new` order (descending components
-/// bitwise-complemented).
-fn pacman_scan_phases(
-    pool: &EpochPool,
-    dfs: &TieredDfs,
-    tier: StorageTier,
-    now: SimTime,
-    window: SimDuration,
-    new_key: impl Fn(&TieredDfs, FileId) -> [u64; 3] + Sync,
-) -> Vec<PhasePlan> {
-    let pairs = pool.scan_shards(dfs, |v| {
-        let dfs = v.dfs();
-        let mut old = Vec::new();
-        let mut new = Vec::new();
-        for (last, f) in v.tier_recency_iter(tier) {
-            if !dfs.is_movable(f) {
-                continue;
-            }
-            if now.duration_since(last) > window {
-                let key = [access_count(dfs, f), last.as_millis(), f.raw()];
-                old.push(Candidate::keyed(key, f));
-            } else {
-                new.push(Candidate::keyed(new_key(dfs, f), f));
-            }
+/// PACMan LIFE or LFU-F: the two differ only in the `P_new` order.
+#[derive(Debug, Clone)]
+pub struct PacmanDowngrade {
+    cfg: TieringConfig,
+    name: &'static str,
+    /// The ascending `P_new` order (descending components
+    /// bitwise-complemented).
+    new_key: fn(&TieredDfs, FileId) -> [u64; 3],
+}
+
+impl PacmanDowngrade {
+    /// LIFE, with the window from the config: `P_new` evicts the largest
+    /// file first.
+    pub fn life(cfg: TieringConfig) -> Self {
+        PacmanDowngrade {
+            cfg,
+            name: "life",
+            new_key: largest_first,
         }
-        (ScanBatch::sorted(old), ScanBatch::sorted(new))
-    });
-    let (old, new) = pairs
-        .into_iter()
-        .map(|p| {
-            let (o, n) = p.items;
-            (
-                ShardEpochPlan {
-                    shard: p.shard,
-                    items: o,
-                },
-                ShardEpochPlan {
-                    shard: p.shard,
-                    items: n,
-                },
-            )
-        })
-        .unzip();
-    vec![
-        PhasePlan {
-            window: 1,
-            shards: old,
-        },
-        PhasePlan {
-            window: 1,
-            shards: new,
-        },
-    ]
-}
+    }
 
-/// PACMan LIFE.
-#[derive(Debug, Clone)]
-pub struct LifeDowngrade {
-    cfg: TieringConfig,
-}
-
-impl LifeDowngrade {
-    /// LIFE with the window from the config.
-    pub fn new(cfg: TieringConfig) -> Self {
-        LifeDowngrade { cfg }
+    /// LFU-F, with the window from the config: `P_new` evicts the least
+    /// frequently used file first, the same order as `P_old`.
+    pub fn lfu_f(cfg: TieringConfig) -> Self {
+        PacmanDowngrade {
+            cfg,
+            name: "lfu-f",
+            new_key: lfu_key,
+        }
     }
 }
 
-impl DowngradePolicy for LifeDowngrade {
+impl DowngradePolicy for PacmanDowngrade {
     fn name(&self) -> &'static str {
-        "life"
+        self.name
     }
 
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
-    }
-
+    /// Old/new membership is frozen within a run (`now` and the index's
+    /// last-use times do not move), so each shard classifies its recency
+    /// slice once into a `P_old` and a `P_new` batch; the driver exhausts
+    /// the merged `P_old` phase before touching `P_new`. `P_old` goes
+    /// least frequently used first.
     fn scan_phases(
         &self,
         pool: &EpochPool,
@@ -117,49 +79,48 @@ impl DowngradePolicy for LifeDowngrade {
         tier: StorageTier,
         now: SimTime,
     ) -> Vec<PhasePlan> {
-        // P_new: the largest file first, ties on ascending id.
-        pacman_scan_phases(pool, dfs, tier, now, self.cfg.pacman_window, |dfs, f| {
-            [!file_size(dfs, f).as_bytes(), f.raw(), 0]
-        })
-    }
-}
-
-/// PACMan LFU-F.
-#[derive(Debug, Clone)]
-pub struct LfuFDowngrade {
-    cfg: TieringConfig,
-}
-
-impl LfuFDowngrade {
-    /// LFU-F with the window from the config.
-    pub fn new(cfg: TieringConfig) -> Self {
-        LfuFDowngrade { cfg }
-    }
-}
-
-impl DowngradePolicy for LfuFDowngrade {
-    fn name(&self) -> &'static str {
-        "lfu-f"
-    }
-
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
-    }
-
-    fn scan_phases(
-        &self,
-        pool: &EpochPool,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-    ) -> Vec<PhasePlan> {
-        // P_new: the LFU file first, the same key as P_old.
-        pacman_scan_phases(pool, dfs, tier, now, self.cfg.pacman_window, |dfs, f| {
-            [access_count(dfs, f), last_used(dfs, f).as_millis(), f.raw()]
-        })
+        let pairs = pool.scan_shards(dfs, |v| {
+            let dfs = v.dfs();
+            let mut old = Vec::new();
+            let mut new = Vec::new();
+            for (last, f) in v.tier_recency_iter(tier) {
+                if !dfs.is_movable(f) {
+                    continue;
+                }
+                if now.duration_since(last) > self.cfg.pacman_window {
+                    let key = [access_count(dfs, f), last.as_millis(), f.raw()];
+                    old.push(Candidate::keyed(key, f));
+                } else {
+                    new.push(Candidate::keyed((self.new_key)(dfs, f), f));
+                }
+            }
+            (ScanBatch::sorted(old), ScanBatch::sorted(new))
+        });
+        let (old, new) = pairs
+            .into_iter()
+            .map(|p| {
+                let (o, n) = p.items;
+                (
+                    ShardEpochPlan {
+                        shard: p.shard,
+                        items: o,
+                    },
+                    ShardEpochPlan {
+                        shard: p.shard,
+                        items: n,
+                    },
+                )
+            })
+            .unzip();
+        vec![
+            PhasePlan {
+                window: 1,
+                shards: old,
+            },
+            PhasePlan {
+                window: 1,
+                shards: new,
+            },
+        ]
     }
 }

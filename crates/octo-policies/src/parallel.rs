@@ -21,7 +21,7 @@
 //!    k-way merge in ascending `order`; a window of up to
 //!    [`PhasePlan::window`] merged candidates is kept sorted by `select`,
 //!    and each iteration pops the window minimum, plans its downgrade,
-//!    and re-checks the stop condition — Algorithm 1's select/plan/stop
+//!    and re-checks the stop threshold — Algorithm 1's select/plan/stop
 //!    cadence.
 //!
 //! Keys are `[u64; 3]` with every component order-normalized (times as
@@ -43,9 +43,9 @@
 //! A one-thread pool scans the shards inline, in shard order, through the
 //! same driver.
 
-use crate::framework::DowngradePolicy;
+use crate::framework::{effective_utilization, DowngradePolicy};
 use octo_common::{FileId, SimTime, StorageTier};
-use octo_dfs::{EpochPool, ShardEpochPlan, TieredDfs, TransferId};
+use octo_dfs::{DowngradeTarget, EpochPool, ShardEpochPlan, TieredDfs, TransferId};
 use std::collections::BTreeSet;
 
 /// One downgrade candidate produced by a shard scan.
@@ -214,14 +214,18 @@ fn next_candidate(
 
 /// The serial half of a run: consumes the per-shard scan results phase
 /// by phase, windowed-merging candidates and committing one downgrade at
-/// a time with Algorithm 1's select → plan → stop cadence.
+/// a time with Algorithm 1's select → plan → stop cadence. Every victim
+/// goes to [`DowngradeTarget::Auto`]; the run stops after the first victim
+/// (planned or refused) that leaves the tier below the policy's stop
+/// threshold.
 pub(crate) fn run_merge_commit(
-    policy: &mut dyn DowngradePolicy,
+    policy: &dyn DowngradePolicy,
     dfs: &mut TieredDfs,
     tier: StorageTier,
     now: SimTime,
     phases: Vec<PhasePlan>,
 ) -> Vec<TransferId> {
+    let stop_threshold = policy.tiering().stop_threshold;
     let mut planned = Vec::new();
     'phases: for phase in phases {
         let mut slices: Vec<Slice> = phase
@@ -239,7 +243,7 @@ pub(crate) fn run_merge_commit(
         let mut win: BTreeSet<([u64; 3], FileId)> = BTreeSet::new();
         loop {
             while win.len() < window {
-                match next_candidate(&mut slices, &*policy, dfs, tier, now) {
+                match next_candidate(&mut slices, policy, dfs, tier, now) {
                     Some(c) => {
                         win.insert((c.select, c.file));
                     }
@@ -250,11 +254,10 @@ pub(crate) fn run_merge_commit(
                 continue 'phases; // this phase is exhausted
             };
             win.remove(&(select, file));
-            let target = policy.select_target(dfs, file, tier);
-            if let Ok(id) = dfs.plan_downgrade(file, tier, target) {
+            if let Ok(id) = dfs.plan_downgrade(file, tier, DowngradeTarget::Auto) {
                 planned.push(id);
             }
-            if policy.stop_downgrade(dfs, tier, now) {
+            if effective_utilization(dfs, tier) < stop_threshold {
                 break 'phases;
             }
         }

@@ -2,9 +2,9 @@
 
 use crate::classic::{LfuDowngrade, LruDowngrade, OsaUpgrade};
 use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
-use crate::pacman::{LfuFDowngrade, LifeDowngrade};
-use crate::watermark::{HybridDowngrade, HybridUpgrade, WatermarkDowngrade, WatermarkUpgrade};
-use crate::weights::{ExdDowngrade, ExdUpgrade, LrfuDowngrade, LrfuUpgrade};
+use crate::pacman::PacmanDowngrade;
+use crate::watermark::{HybridDowngrade, WatermarkDowngrade, WatermarkUpgrade};
+use crate::weights::{ExdUpgrade, LrfuUpgrade, WeightDowngrade};
 use crate::xgb::{XgbDowngrade, XgbUpgrade};
 use octo_access::LearnerConfig;
 
@@ -37,10 +37,10 @@ pub fn downgrade_policy(
     Some(match name {
         "lru" => Box::new(LruDowngrade::new(cfg.clone())),
         "lfu" => Box::new(LfuDowngrade::new(cfg.clone())),
-        "lrfu" => Box::new(LrfuDowngrade::new(cfg.clone())),
-        "life" => Box::new(LifeDowngrade::new(cfg.clone())),
-        "lfu-f" => Box::new(LfuFDowngrade::new(cfg.clone())),
-        "exd" => Box::new(ExdDowngrade::new(cfg.clone())),
+        "lrfu" => Box::new(WeightDowngrade::lrfu(cfg.clone())),
+        "life" => Box::new(PacmanDowngrade::life(cfg.clone())),
+        "lfu-f" => Box::new(PacmanDowngrade::lfu_f(cfg.clone())),
+        "exd" => Box::new(WeightDowngrade::exd(cfg.clone())),
         "xgb" => Box::new(XgbDowngrade::new(cfg.clone(), learner.clone(), seed)),
         "watermark" => Box::new(WatermarkDowngrade::new(cfg.clone())),
         "hybrid" => Box::new(HybridDowngrade::new(cfg.clone(), learner.clone(), seed)),
@@ -61,7 +61,7 @@ pub fn upgrade_policy(
         "exd" => Box::new(ExdUpgrade::new(cfg.clone())),
         "xgb" => Box::new(XgbUpgrade::new(cfg.clone(), learner.clone(), seed)),
         "watermark" => Box::new(WatermarkUpgrade::new(cfg.clone())),
-        "hybrid" => Box::new(HybridUpgrade::new(cfg.clone(), learner.clone(), seed)),
+        "hybrid" => Box::new(XgbUpgrade::hybrid(cfg.clone(), learner.clone(), seed)),
         _ => return None,
     })
 }

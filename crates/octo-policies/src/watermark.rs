@@ -13,7 +13,8 @@
 //! * **Hybrid**: watermark bands gate *eligibility* while the XGB access
 //!   predictor ranks the candidate window — ML-gated admission over
 //!   watermark eviction; until the model warms up it degrades to the
-//!   plain watermark order.
+//!   plain watermark order. The hybrid upgrade is the XGB upgrade policy
+//!   with a band veto ([`crate::xgb::XgbUpgrade::hybrid`]).
 //!
 //! Band membership has **hysteresis**: a file enters a band at the
 //! `enter` threshold but only leaves it after its heat decays below
@@ -29,15 +30,13 @@
 //! the incremental fold *is* the from-scratch recomputation (property
 //! tested in `tests/watermark_props.rs`).
 
-use crate::framework::{
-    effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
-};
+use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
-use crate::xgb::{sample_files, DOWNGRADE_WINDOW, UPGRADE_WINDOW};
+use crate::xgb::{sample_files, DOWNGRADE_WINDOW};
 use octo_access::{AccessPredictor, LearnerConfig, LearnerCounters};
-use octo_common::{ByteSize, DetRng, FileId, SimTime, StorageTier};
+use octo_common::{DetRng, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// A file's temperature band. Ordered cold → hot so `max` composes a
 /// settle (decay-driven demotion) with an entry (access-driven
@@ -229,12 +228,8 @@ impl DowngradePolicy for WatermarkDowngrade {
         "watermark"
     }
 
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
     fn scan_phases(
@@ -281,39 +276,8 @@ impl UpgradePolicy for WatermarkUpgrade {
         "watermark"
     }
 
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool {
-        accessed.is_some_and(|f| {
-            dfs.is_movable(f)
-                && !dfs.file_fully_on_tier(f, StorageTier::Memory)
-                && self.bands.effective(dfs, f, now) == Band::Hot
-        })
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        _now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice> {
-        let f = accessed?;
-        if already.contains(&f) || !dfs.is_movable(f) {
-            return None;
-        }
-        Some(UpgradeChoice {
-            file: f,
-            to: StorageTier::Memory,
-        })
-    }
-
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        _scheduled: ByteSize,
-        _count: u32,
-    ) -> bool {
-        true
+    fn admits(&self, dfs: &TieredDfs, file: FileId, now: SimTime) -> bool {
+        self.bands.effective(dfs, file, now) == Band::Hot
     }
 
     fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {
@@ -373,16 +337,12 @@ impl DowngradePolicy for HybridDowngrade {
         "hybrid"
     }
 
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
+    }
+
     fn learner_counters(&self) -> Option<LearnerCounters> {
         Some(self.predictor.counters())
-    }
-
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
 
     fn scan_phases(
@@ -403,147 +363,6 @@ impl DowngradePolicy for HybridDowngrade {
             now,
             |dfs, f, order| self.select_key(dfs, f, order, now),
         )
-    }
-
-    fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {
-        self.bands.on_created(dfs, file);
-    }
-
-    fn on_file_accessed(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
-        self.bands.on_accessed(dfs, file);
-        if let Some(stats) = dfs.file_stats(file) {
-            self.predictor.on_file_access(stats, now);
-        }
-    }
-
-    fn on_file_deleted(&mut self, file: FileId, _now: SimTime) {
-        self.bands.on_deleted(file);
-    }
-
-    fn on_tick(&mut self, dfs: &TieredDfs, now: SimTime) {
-        sample_files(
-            &mut self.predictor,
-            dfs,
-            now,
-            self.cfg.sample_files_per_tick,
-            &mut self.rng,
-        );
-    }
-}
-
-/// Hybrid upgrade: XGB-gated admission over the watermark bands — among
-/// the most recently used candidates, admit files the model scores above
-/// the discrimination threshold *and* the bands do not classify cold.
-/// During model warm-up it behaves exactly like [`WatermarkUpgrade`].
-pub struct HybridUpgrade {
-    cfg: TieringConfig,
-    bands: BandTracker,
-    predictor: AccessPredictor,
-    rng: DetRng,
-}
-
-impl HybridUpgrade {
-    /// Builds the policy with its 30-minute-window predictor.
-    pub fn new(cfg: TieringConfig, learner: LearnerConfig, seed: u64) -> Self {
-        let bands = BandTracker::new(Watermarks::from_config(&cfg));
-        HybridUpgrade {
-            cfg,
-            bands,
-            predictor: AccessPredictor::new(UPGRADE_WINDOW, learner),
-            rng: DetRng::seed_from_u64(seed),
-        }
-    }
-}
-
-impl UpgradePolicy for HybridUpgrade {
-    fn name(&self) -> &'static str {
-        "hybrid"
-    }
-
-    fn learner_counters(&self) -> Option<LearnerCounters> {
-        Some(self.predictor.counters())
-    }
-
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool {
-        if self.predictor.learner().is_active() {
-            true // the inner loop scans candidates either way
-        } else {
-            // Warm-up fallback: watermark admission.
-            accessed.is_some_and(|f| {
-                dfs.is_movable(f)
-                    && !dfs.file_fully_on_tier(f, StorageTier::Memory)
-                    && self.bands.effective(dfs, f, now) == Band::Hot
-            })
-        }
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice> {
-        if !self.predictor.learner().is_active() {
-            // Watermark fallback during warm-up.
-            let f = accessed?;
-            if already.contains(&f)
-                || !dfs.is_movable(f)
-                || dfs.file_fully_on_tier(f, StorageTier::Memory)
-            {
-                return None;
-            }
-            return Some(UpgradeChoice {
-                file: f,
-                to: StorageTier::Memory,
-            });
-        }
-        // Highest-probability MRU candidate over the threshold that the
-        // bands do not veto as cold.
-        let mut best: Option<(FileId, f64)> = None;
-        let candidates = dfs
-            .mru_recency_iter()
-            .map(|(_, f)| f)
-            .filter(|f| {
-                !already.contains(f)
-                    && dfs.is_movable(*f)
-                    && !dfs.file_fully_on_tier(*f, StorageTier::Memory)
-            })
-            .take(self.cfg.xgb_candidates);
-        for f in candidates {
-            if self.bands.effective(dfs, f, now) == Band::Cold {
-                continue;
-            }
-            let Some(p) = dfs
-                .file_stats(f)
-                .and_then(|s| self.predictor.predict(s, now))
-            else {
-                continue;
-            };
-            if p <= self.cfg.xgb_threshold {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(_, bp)| p > *bp) {
-                best = Some((f, p));
-            }
-        }
-        best.map(|(file, _)| UpgradeChoice {
-            file,
-            to: StorageTier::Memory,
-        })
-    }
-
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        scheduled: ByteSize,
-        count: u32,
-    ) -> bool {
-        if !self.predictor.learner().is_active() {
-            return true; // watermark fallback: one file per access
-        }
-        scheduled >= self.cfg.xgb_upgrade_limit || count >= 64
     }
 
     fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {

@@ -9,13 +9,11 @@
 //! * EXD:   `W ← 1 + W·e^(−α·Δt)` (Big SQL's exponential decay), with the
 //!   same decay applied at comparison, following \[16\].
 
-use crate::framework::{
-    effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
-};
+use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
 use octo_common::{ByteSize, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// How a weight decays with the time since its last update.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -57,6 +55,20 @@ impl WeightTracker {
         }
     }
 
+    /// LRFU's tracker: Formula 1 with the config's half-life.
+    fn lrfu(cfg: &TieringConfig) -> Self {
+        WeightTracker::new(DecayKind::HalfLife {
+            h_ms: cfg.lrfu_half_life.as_millis() as f64,
+        })
+    }
+
+    /// EXD's tracker: Formula 2 with the config's α.
+    fn exd(cfg: &TieringConfig) -> Self {
+        WeightTracker::new(DecayKind::Exponential {
+            alpha: cfg.exd_alpha,
+        })
+    }
+
     /// Registers a new file (weight 0 until first accessed, so the first
     /// access yields weight 1).
     pub fn on_created(&mut self, file: FileId, now: SimTime) {
@@ -86,53 +98,44 @@ impl WeightTracker {
     }
 }
 
-/// The scan shared by LRFU and EXD: weights are frozen within one run,
-/// so each resident's weight is decayed and encoded once per run, and the
-/// victim order is ascending (weight, id). Weight order follows no
-/// maintained index, so the scan is exhaustive.
-fn weight_scan_phases(
-    tracker: &WeightTracker,
-    pool: &EpochPool,
-    dfs: &TieredDfs,
-    tier: StorageTier,
-    now: SimTime,
-) -> Vec<PhasePlan> {
-    vec![exhaustive_phase(pool, dfs, tier, 1, |_, f| {
-        let key = [encode_f64(tracker.decayed_weight(f, now)), f.raw(), 0];
-        Some(Candidate::keyed(key, f))
-    })]
-}
-
-/// LRFU downgrade: evict the file with the lowest recency+frequency weight.
+/// LRFU or EXD downgrade: evict the file with the lowest decayed weight.
+/// The two differ only in how the weight decays.
 #[derive(Debug, Clone)]
-pub struct LrfuDowngrade {
+pub struct WeightDowngrade {
     cfg: TieringConfig,
     tracker: WeightTracker,
 }
 
-impl LrfuDowngrade {
-    /// LRFU with Formula 1's half-life from the config.
-    pub fn new(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::new(DecayKind::HalfLife {
-            h_ms: cfg.lrfu_half_life.as_millis() as f64,
-        });
-        LrfuDowngrade { cfg, tracker }
+impl WeightDowngrade {
+    /// LRFU, with Formula 1's half-life from the config.
+    pub fn lrfu(cfg: TieringConfig) -> Self {
+        let tracker = WeightTracker::lrfu(&cfg);
+        WeightDowngrade { cfg, tracker }
+    }
+
+    /// EXD (Big SQL), with Formula 2's α from the config.
+    pub fn exd(cfg: TieringConfig) -> Self {
+        let tracker = WeightTracker::exd(&cfg);
+        WeightDowngrade { cfg, tracker }
     }
 }
 
-impl DowngradePolicy for LrfuDowngrade {
+impl DowngradePolicy for WeightDowngrade {
     fn name(&self) -> &'static str {
-        "lrfu"
+        match self.tracker.decay {
+            DecayKind::HalfLife { .. } => "lrfu",
+            DecayKind::Exponential { .. } => "exd",
+        }
     }
 
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
-    }
-
+    /// Weights are frozen within one run, so each resident's weight is
+    /// decayed and encoded once per run, and the victim order is ascending
+    /// (weight, id). Weight order follows no maintained index, so the scan
+    /// is exhaustive.
     fn scan_phases(
         &self,
         pool: &EpochPool,
@@ -140,7 +143,10 @@ impl DowngradePolicy for LrfuDowngrade {
         tier: StorageTier,
         now: SimTime,
     ) -> Vec<PhasePlan> {
-        weight_scan_phases(&self.tracker, pool, dfs, tier, now)
+        vec![exhaustive_phase(pool, dfs, tier, 1, |_, f| {
+            let key = [encode_f64(self.tracker.decayed_weight(f, now)), f.raw(), 0];
+            Some(Candidate::keyed(key, f))
+        })]
     }
 
     fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {
@@ -156,75 +162,22 @@ impl DowngradePolicy for LrfuDowngrade {
     }
 }
 
-/// EXD downgrade: evict the file with the lowest exponentially-decayed
-/// weight (Big SQL).
-#[derive(Debug, Clone)]
-pub struct ExdDowngrade {
-    cfg: TieringConfig,
-    tracker: WeightTracker,
-}
-
-impl ExdDowngrade {
-    /// EXD with Formula 2's α from the config.
-    pub fn new(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::new(DecayKind::Exponential {
-            alpha: cfg.exd_alpha,
-        });
-        ExdDowngrade { cfg, tracker }
-    }
-}
-
-impl DowngradePolicy for ExdDowngrade {
-    fn name(&self) -> &'static str {
-        "exd"
-    }
-
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
-    }
-
-    fn scan_phases(
-        &self,
-        pool: &EpochPool,
-        dfs: &TieredDfs,
-        tier: StorageTier,
-        now: SimTime,
-    ) -> Vec<PhasePlan> {
-        weight_scan_phases(&self.tracker, pool, dfs, tier, now)
-    }
-
-    fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {
-        self.tracker.on_created(file, now);
-    }
-
-    fn on_file_accessed(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {
-        self.tracker.on_accessed(file, now);
-    }
-
-    fn on_file_deleted(&mut self, file: FileId, _now: SimTime) {
-        self.tracker.on_deleted(file);
-    }
-}
-
-/// LRFU upgrade: move the accessed file into memory once its weight exceeds
-/// the threshold (§6.1, empirically 3).
+/// LRFU upgrade: admit the accessed file once its weight exceeds the
+/// threshold (§6.1, empirically 3).
 #[derive(Debug, Clone)]
 pub struct LrfuUpgrade {
-    cfg: TieringConfig,
+    threshold: f64,
     tracker: WeightTracker,
 }
 
 impl LrfuUpgrade {
-    /// LRFU upgrade with Formula 1's half-life from the config.
+    /// LRFU upgrade with Formula 1's half-life and the upgrade threshold
+    /// from the config.
     pub fn new(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::new(DecayKind::HalfLife {
-            h_ms: cfg.lrfu_half_life.as_millis() as f64,
-        });
-        LrfuUpgrade { cfg, tracker }
+        LrfuUpgrade {
+            threshold: cfg.lrfu_upgrade_threshold,
+            tracker: WeightTracker::lrfu(&cfg),
+        }
     }
 }
 
@@ -233,39 +186,8 @@ impl UpgradePolicy for LrfuUpgrade {
         "lrfu"
     }
 
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool {
-        accessed.is_some_and(|f| {
-            dfs.is_movable(f)
-                && !dfs.file_fully_on_tier(f, StorageTier::Memory)
-                && self.tracker.decayed_weight(f, now) > self.cfg.lrfu_upgrade_threshold
-        })
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        _now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice> {
-        let f = accessed?;
-        if already.contains(&f) || !dfs.is_movable(f) {
-            return None;
-        }
-        Some(UpgradeChoice {
-            file: f,
-            to: StorageTier::Memory,
-        })
-    }
-
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        _scheduled: ByteSize,
-        _count: u32,
-    ) -> bool {
-        true
+    fn admits(&self, _dfs: &TieredDfs, file: FileId, now: SimTime) -> bool {
+        self.tracker.decayed_weight(file, now) > self.threshold
     }
 
     fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {
@@ -281,7 +203,7 @@ impl UpgradePolicy for LrfuUpgrade {
     }
 }
 
-/// EXD upgrade (Big SQL): upgrade the accessed file if memory has room, or
+/// EXD upgrade (Big SQL): admit the accessed file if memory has room, or
 /// if its weight beats the total weight of the files that would have to be
 /// downgraded to make room.
 #[derive(Debug, Clone)]
@@ -292,36 +214,8 @@ pub struct ExdUpgrade {
 impl ExdUpgrade {
     /// EXD upgrade with Formula 2's α from the config.
     pub fn new(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::new(DecayKind::Exponential {
-            alpha: cfg.exd_alpha,
-        });
-        ExdUpgrade { tracker }
-    }
-
-    fn worth_evicting_for(&self, dfs: &TieredDfs, file: FileId, now: SimTime) -> bool {
-        let Some(meta) = dfs.file_meta(file) else {
-            return false;
-        };
-        let size = meta.size;
-        let (committed, capacity) = dfs.tier_usage(StorageTier::Memory);
-        let free = capacity.saturating_sub(committed);
-        if free >= size {
-            return true;
-        }
-        // Sum the weights of the cheapest memory residents that would need
-        // to move out to fit this file.
-        let residents: Vec<(f64, ByteSize, FileId)> = dfs
-            .files_on_tier(StorageTier::Memory)
-            .filter(|f| *f != file && dfs.is_movable(*f))
-            .map(|f| {
-                let sz = dfs.file_meta(f).map_or(ByteSize::ZERO, |m| m.size);
-                (self.tracker.decayed_weight(f, now), sz, f)
-            })
-            .collect();
-        let needed = size.saturating_sub(free);
-        match cheapest_cover(residents, needed) {
-            Some(evicted_weight) => self.tracker.decayed_weight(file, now) > evicted_weight,
-            None => false, // cannot make room at all
+        ExdUpgrade {
+            tracker: WeightTracker::exd(&cfg),
         }
     }
 }
@@ -372,39 +266,31 @@ impl UpgradePolicy for ExdUpgrade {
         "exd"
     }
 
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, now: SimTime) -> bool {
-        accessed.is_some_and(|f| {
-            dfs.is_movable(f)
-                && !dfs.file_fully_on_tier(f, StorageTier::Memory)
-                && self.worth_evicting_for(dfs, f, now)
-        })
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        _now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice> {
-        let f = accessed?;
-        if already.contains(&f) || !dfs.is_movable(f) {
-            return None;
+    fn admits(&self, dfs: &TieredDfs, file: FileId, now: SimTime) -> bool {
+        let Some(meta) = dfs.file_meta(file) else {
+            return false;
+        };
+        let size = meta.size;
+        let (committed, capacity) = dfs.tier_usage(StorageTier::Memory);
+        let free = capacity.saturating_sub(committed);
+        if free >= size {
+            return true;
         }
-        Some(UpgradeChoice {
-            file: f,
-            to: StorageTier::Memory,
-        })
-    }
-
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        _scheduled: ByteSize,
-        _count: u32,
-    ) -> bool {
-        true
+        // Sum the weights of the cheapest memory residents that would need
+        // to move out to fit this file.
+        let residents: Vec<(f64, ByteSize, FileId)> = dfs
+            .files_on_tier(StorageTier::Memory)
+            .filter(|f| *f != file && dfs.is_movable(*f))
+            .map(|f| {
+                let sz = dfs.file_meta(f).map_or(ByteSize::ZERO, |m| m.size);
+                (self.tracker.decayed_weight(f, now), sz, f)
+            })
+            .collect();
+        let needed = size.saturating_sub(free);
+        match cheapest_cover(residents, needed) {
+            Some(evicted_weight) => self.tracker.decayed_weight(file, now) > evicted_weight,
+            None => false, // cannot make room at all
+        }
     }
 
     fn on_file_created(&mut self, _dfs: &TieredDfs, file: FileId, now: SimTime) {

@@ -12,16 +12,17 @@
 //!   used files not fully in memory, move up every file whose access
 //!   probability exceeds the discrimination threshold (0.5), until the
 //!   scheduled batch exceeds 1 GB (§6.4). Until the model activates it
-//!   falls back to on-access (OSA) behaviour.
+//!   falls back to on-access (OSA) behaviour. The hybrid upgrade is the
+//!   same policy with watermark bands: they veto cold candidates from the
+//!   batch, and during warm-up admit only hot-band files.
 
 use crate::classic::last_used;
-use crate::framework::{
-    effective_utilization, DowngradePolicy, TieringConfig, UpgradeChoice, UpgradePolicy,
-};
+use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{encode_f64, shard_budget, victim_hint, Candidate, PhasePlan, ScanBatch};
+use crate::watermark::{Band, BandTracker, Watermarks};
 use octo_access::{AccessPredictor, LearnerConfig, LearnerCounters};
 use octo_common::{ByteSize, DetRng, FileId, SimDuration, SimTime, StorageTier};
-use octo_dfs::TieredDfs;
+use octo_dfs::{TieredDfs, TransferId};
 use std::collections::{BTreeSet, HashMap};
 
 /// Windows for the two models (paper §4.4).
@@ -135,16 +136,12 @@ impl DowngradePolicy for XgbDowngrade {
         "xgb"
     }
 
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
+    }
+
     fn learner_counters(&self) -> Option<LearnerCounters> {
         Some(self.predictor.counters())
-    }
-
-    fn start_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) > self.cfg.start_threshold
-    }
-
-    fn stop_downgrade(&mut self, dfs: &TieredDfs, tier: StorageTier, _now: SimTime) -> bool {
-        effective_utilization(dfs, tier) < self.cfg.stop_threshold
     }
 
     fn scan_phases(
@@ -200,16 +197,18 @@ impl DowngradePolicy for XgbDowngrade {
     }
 }
 
-/// XGB upgrade policy.
+/// Most files a learned upgrade batch plans.
+const BATCH_FILES: usize = 64;
+
+/// XGB upgrade policy, and the hybrid upgrade: the same policy with
+/// watermark bands.
 pub struct XgbUpgrade {
     cfg: TieringConfig,
     predictor: AccessPredictor,
     rng: DetRng,
-    /// Each candidate's prediction in the current Algorithm 2 run. The
-    /// model, the statistics and `now` stay fixed within a run, so a file
-    /// is scored once however many picks it competes in. Cleared when a
-    /// run starts.
-    run_scores: HashMap<FileId, Option<f64>>,
+    /// The hybrid's bands: hot-band admission during warm-up, and a veto
+    /// on cold candidates once the model serves.
+    bands: Option<BandTracker>,
 }
 
 impl XgbUpgrade {
@@ -219,7 +218,20 @@ impl XgbUpgrade {
             cfg,
             predictor: AccessPredictor::new(UPGRADE_WINDOW, learner),
             rng: DetRng::seed_from_u64(seed),
-            run_scores: HashMap::new(),
+            bands: None,
+        }
+    }
+
+    /// The hybrid upgrade: XGB-gated admission over the watermark bands.
+    /// Among the most recently used candidates it plans files the model
+    /// scores above the discrimination threshold *and* the bands do not
+    /// classify cold. During model warm-up it admits like the watermark
+    /// upgrade: hot-band files only.
+    pub fn hybrid(cfg: TieringConfig, learner: LearnerConfig, seed: u64) -> Self {
+        let bands = BandTracker::new(Watermarks::from_config(&cfg));
+        XgbUpgrade {
+            bands: Some(bands),
+            ..XgbUpgrade::new(cfg, learner, seed)
         }
     }
 
@@ -233,108 +245,122 @@ impl XgbUpgrade {
         &mut self.predictor
     }
 
-    /// The `k` most recently used upgrade candidates (movable, not fully in
-    /// memory), most recent first. A reverse walk of the global recency
-    /// index (which orders exactly like the old
-    /// `sort_by_key(|f| (Reverse(last_used), f))` + truncate), stopping as
-    /// soon as `k` candidates pass the filters.
-    fn mru_candidates(&self, dfs: &TieredDfs, already: &BTreeSet<FileId>) -> Vec<FileId> {
-        dfs.mru_recency_iter()
+    /// Algorithm 2's batch while the model serves: picks the best
+    /// candidate again after every planned file and stops once the batch
+    /// reaches `xgb_upgrade_limit` bytes or [`BATCH_FILES`] files.
+    ///
+    /// A pick walks the `k` most recently used files that are not already
+    /// chosen, movable and not fully in memory, and keeps the first one
+    /// with the highest probability strictly above `xgb_threshold`. The
+    /// hybrid's bands veto cold files within that window. The model, the
+    /// statistics and `now` stay fixed within a run, so each file is
+    /// scored once however many picks it competes in.
+    pub(crate) fn plan_batch(&self, dfs: &mut TieredDfs, now: SimTime) -> Vec<TransferId> {
+        let mut scores: HashMap<FileId, Option<f64>> = HashMap::new();
+        let mut already = BTreeSet::new();
+        let mut planned = Vec::new();
+        let mut scheduled = ByteSize::ZERO;
+        while let Some(file) = self.pick(dfs, now, &already, &mut scores) {
+            already.insert(file);
+            if let Ok(id) = dfs.plan_upgrade(file, StorageTier::Memory) {
+                scheduled += dfs
+                    .transfer(id)
+                    .map(|t| t.bytes_moving())
+                    .unwrap_or(ByteSize::ZERO);
+                planned.push(id);
+            }
+            if scheduled >= self.cfg.xgb_upgrade_limit || planned.len() >= BATCH_FILES {
+                break;
+            }
+        }
+        planned
+    }
+
+    /// One pick of [`XgbUpgrade::plan_batch`].
+    fn pick(
+        &self,
+        dfs: &TieredDfs,
+        now: SimTime,
+        already: &BTreeSet<FileId>,
+        scores: &mut HashMap<FileId, Option<f64>>,
+    ) -> Option<FileId> {
+        let window = dfs
+            .mru_recency_iter()
             .map(|(_, f)| f)
             .filter(|f| {
                 !already.contains(f)
                     && dfs.is_movable(*f)
                     && !dfs.file_fully_on_tier(*f, StorageTier::Memory)
             })
-            .take(self.cfg.xgb_candidates)
-            .collect()
-    }
-}
-
-impl UpgradePolicy for XgbUpgrade {
-    fn name(&self) -> &'static str {
-        "xgb"
-    }
-
-    fn learner_counters(&self) -> Option<LearnerCounters> {
-        Some(self.predictor.counters())
-    }
-
-    fn start_upgrade(&mut self, dfs: &TieredDfs, accessed: Option<FileId>, _now: SimTime) -> bool {
-        self.run_scores.clear();
-        if self.predictor.learner().is_active() {
-            true // the inner loop scans candidates either way
-        } else {
-            // Warm-up fallback: behave like OSA.
-            accessed.is_some_and(|f| {
-                dfs.is_movable(f) && !dfs.file_fully_on_tier(f, StorageTier::Memory)
-            })
-        }
-    }
-
-    fn select_upgrade(
-        &mut self,
-        dfs: &TieredDfs,
-        accessed: Option<FileId>,
-        now: SimTime,
-        already: &BTreeSet<FileId>,
-    ) -> Option<UpgradeChoice> {
-        if !self.predictor.learner().is_active() {
-            // OSA fallback during warm-up.
-            let f = accessed?;
-            if already.contains(&f)
-                || !dfs.is_movable(f)
-                || dfs.file_fully_on_tier(f, StorageTier::Memory)
-            {
-                return None;
-            }
-            return Some(UpgradeChoice {
-                file: f,
-                to: StorageTier::Memory,
-            });
-        }
-        // Highest-probability candidate above the discrimination threshold.
-        // The MRU window is walked again for every pick, so it slides past
-        // the files already chosen; only the scores are remembered.
+            .take(self.cfg.xgb_candidates);
         let mut best: Option<(FileId, f64)> = None;
-        for f in self.mru_candidates(dfs, already) {
-            let predictor = &self.predictor;
-            let score = *self
-                .run_scores
-                .entry(f)
-                .or_insert_with(|| dfs.file_stats(f).and_then(|s| predictor.predict(s, now)));
+        for f in window {
+            if let Some(bands) = &self.bands {
+                if bands.effective(dfs, f, now) == Band::Cold {
+                    continue;
+                }
+            }
+            let score = *scores.entry(f).or_insert_with(|| {
+                dfs.file_stats(f)
+                    .and_then(|s| self.predictor.predict(s, now))
+            });
             let Some(p) = score else {
                 continue;
             };
             if p <= self.cfg.xgb_threshold {
                 continue;
             }
-            if best.as_ref().is_none_or(|(_, bp)| p > *bp) {
+            if best.is_none_or(|(_, bp)| p > bp) {
                 best = Some((f, p));
             }
         }
-        best.map(|(file, _)| UpgradeChoice {
-            file,
-            to: StorageTier::Memory,
-        })
+        best.map(|(f, _)| f)
+    }
+}
+
+impl UpgradePolicy for XgbUpgrade {
+    fn name(&self) -> &'static str {
+        if self.bands.is_some() {
+            "hybrid"
+        } else {
+            "xgb"
+        }
     }
 
-    fn stop_upgrade(
-        &mut self,
-        _dfs: &TieredDfs,
-        _now: SimTime,
-        scheduled: ByteSize,
-        count: u32,
-    ) -> bool {
-        if !self.predictor.learner().is_active() {
-            return true; // OSA fallback: one file per access
+    /// Warm-up admission: every file for XGB (like OSA), hot-band files
+    /// for the hybrid (like the watermark upgrade).
+    fn admits(&self, dfs: &TieredDfs, file: FileId, now: SimTime) -> bool {
+        self.bands
+            .as_ref()
+            .is_none_or(|b| b.effective(dfs, file, now) == Band::Hot)
+    }
+
+    fn serving(&self) -> Option<&XgbUpgrade> {
+        self.predictor.learner().is_active().then_some(self)
+    }
+
+    fn learner_counters(&self) -> Option<LearnerCounters> {
+        Some(self.predictor.counters())
+    }
+
+    fn on_file_created(&mut self, dfs: &TieredDfs, file: FileId, _now: SimTime) {
+        if let Some(bands) = &mut self.bands {
+            bands.on_created(dfs, file);
         }
-        scheduled >= self.cfg.xgb_upgrade_limit || count >= 64
     }
 
     fn on_file_accessed(&mut self, dfs: &TieredDfs, file: FileId, now: SimTime) {
+        if let Some(bands) = &mut self.bands {
+            bands.on_accessed(dfs, file);
+        }
         if let Some(stats) = dfs.file_stats(file) {
             self.predictor.on_file_access(stats, now);
+        }
+    }
+
+    fn on_file_deleted(&mut self, file: FileId, _now: SimTime) {
+        if let Some(bands) = &mut self.bands {
+            bands.on_deleted(file);
         }
     }
 

@@ -3,7 +3,7 @@
 
 use octo_access::LearnerConfig;
 use octo_common::{ByteSize, FileId, PerTier, SimDuration, SimTime, StorageTier};
-use octo_dfs::{DfsConfig, DowngradeTarget, TieredDfs};
+use octo_dfs::{DfsConfig, TieredDfs};
 use octo_policies::{
     downgrade_policy, effective_utilization, upgrade_policy, DowngradePolicy, TieringConfig,
     TieringEngine,
@@ -276,11 +276,4 @@ fn lrfu_upgrade_needs_weight_above_threshold() {
     }
     let planned = engine.run_upgrade(&mut dfs, Some(f), SimTime::from_secs(16));
     assert_eq!(planned.len(), 1, "weight should now exceed the threshold");
-}
-
-#[test]
-fn downgrade_target_defaults_to_auto() {
-    let mut p = mk_down("lru");
-    let dfs = small_dfs();
-    assert_eq!(p.select_target(&dfs, FileId(0), MEM), DowngradeTarget::Auto);
 }
