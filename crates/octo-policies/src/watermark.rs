@@ -337,12 +337,12 @@ impl DowngradePolicy for HybridDowngrade {
         "hybrid"
     }
 
-    fn tiering(&self) -> &TieringConfig {
-        &self.cfg
-    }
-
     fn learner_counters(&self) -> Option<LearnerCounters> {
         Some(self.predictor.counters())
+    }
+
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
     fn scan_phases(

@@ -136,12 +136,12 @@ impl DowngradePolicy for XgbDowngrade {
         "xgb"
     }
 
-    fn tiering(&self) -> &TieringConfig {
-        &self.cfg
-    }
-
     fn learner_counters(&self) -> Option<LearnerCounters> {
         Some(self.predictor.counters())
+    }
+
+    fn tiering(&self) -> &TieringConfig {
+        &self.cfg
     }
 
     fn scan_phases(
