@@ -211,6 +211,47 @@ fn engine_downgrades_until_stop_threshold() {
     assert!(again.is_empty());
 }
 
+/// Both thresholds are strict: a run starts only *above* the start
+/// threshold and stops only once the tier is *below* the stop threshold,
+/// so a tier sitting exactly on either threshold does not change state.
+#[test]
+fn engine_thresholds_are_strict() {
+    let mut dfs = small_dfs();
+    for i in 0..6 {
+        put(&mut dfs, &format!("f{i}"), 100, SimTime::from_secs(i));
+    }
+    let now = SimTime::from_secs(100);
+    let lru = |start_threshold: f64, stop_threshold: f64| {
+        let cfg = TieringConfig {
+            start_threshold,
+            stop_threshold,
+            ..TieringConfig::default()
+        };
+        TieringEngine::new(
+            downgrade_policy("lru", &cfg, &LearnerConfig::default(), 7),
+            None,
+        )
+    };
+    let at = effective_utilization(&dfs, MEM);
+    assert!(
+        lru(at, 0.0).run_downgrade(&mut dfs, MEM, now).is_empty(),
+        "a tier exactly at the start threshold starts no run"
+    );
+
+    // The utilization a run leaves behind after its first victim.
+    let first = lru(0.0, 1.0).run_downgrade(&mut dfs, MEM, now);
+    assert_eq!(first.len(), 1);
+    let after_one = effective_utilization(&dfs, MEM);
+    dfs.cancel_transfer(first[0]).expect("planned in this run");
+    assert_eq!(effective_utilization(&dfs, MEM), at);
+    let planned = lru(0.0, after_one).run_downgrade(&mut dfs, MEM, now);
+    assert_eq!(
+        planned.len(),
+        2,
+        "a tier exactly at the stop threshold takes one more victim"
+    );
+}
+
 #[test]
 fn engine_without_policies_does_nothing() {
     let mut dfs = small_dfs();
