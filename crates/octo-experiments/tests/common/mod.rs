@@ -41,3 +41,16 @@ pub fn fig13_fault_input(epoch_threads: usize) -> (Trace, SimConfig) {
     };
     (generate(&workload, 3), cfg)
 }
+
+/// The quick FB XGB-XGB run at a 50% activation gate, so that the upgrade
+/// model serves (at the default 5% gate it never activates on the quick
+/// trace).
+#[allow(dead_code)] // determinism.rs shares this module but pins other runs
+pub fn xgb_serving_quick_report(epoch_threads: usize) -> octo_cluster::RunReport {
+    let settings = ExpSettings::quick(3);
+    let trace = settings.trace(TraceKind::Facebook);
+    let mut cfg = settings.sim(Scenario::policy_pair("xgb", "xgb"));
+    cfg.learner.activation_error = 0.5;
+    cfg.epoch_threads = epoch_threads;
+    octo_cluster::run_trace(cfg, &trace)
+}

@@ -217,6 +217,34 @@ fn xgb_xgb_quick_run_matches_golden_fixture() {
     check("xgb_xgb_quick", report_digest(&report));
 }
 
+/// The pinned XGB run whose upgrade model serves. At the default 5%
+/// activation gate the quick upgrade learner never activates, so
+/// `xgb_xgb_quick` pins only the warm-up admission; a 50% gate lets the
+/// model serve, so this digest pins the learned upgrade batch end to end:
+/// its MRU candidate window, its probability threshold and the files
+/// sampled for training each tick. The guards require served upgrade
+/// predictions and bytes promoted to memory.
+#[test]
+fn xgb_xgb_serving_quick_run_matches_golden_fixture() {
+    let report = common::xgb_serving_quick_report(1);
+    let served: u64 = report
+        .learners
+        .iter()
+        .filter(|l| l.role == octo_policies::PolicyRole::Upgrade)
+        .map(|l| l.counters.predictions_served)
+        .sum();
+    assert!(served > 0, "pinned serving run never served an upgrade prediction");
+    let to_memory = report
+        .movement
+        .upgraded_to
+        .get(octo_common::StorageTier::Memory);
+    assert!(
+        to_memory.as_bytes() > 0,
+        "pinned serving run never promoted a byte to memory"
+    );
+    check("xgb_xgb_serving_quick", report_digest(&report));
+}
+
 /// The pinned Figure 13-scale fault run (see `common::fig13_fault_input`).
 /// The vacuity guards require crashes, completed repairs and remote task
 /// reads, so the digest covers failover, repair transfers and cross-node

@@ -141,6 +141,15 @@ fn xgb_xgb_quick_digest_is_thread_count_invariant() {
     });
 }
 
+/// The serving upgrade model plans its batch inside the upgrade epoch:
+/// its picks, and with them the transcript, must not move with the width.
+#[test]
+fn xgb_xgb_serving_quick_digest_is_thread_count_invariant() {
+    check_at_every_width("xgb_xgb_serving_quick", |threads| {
+        report_digest(&common::xgb_serving_quick_report(threads))
+    });
+}
+
 /// The learners' counters ride beside the transcript: they must not move
 /// with the thread count either, and must add up.
 #[test]
