@@ -134,8 +134,10 @@ pub fn roc_experiment(
     // 6th hour; a quarter keeps the test set usable at quick scale too).
     let test_start = horizon.saturating_sub(SimDuration::from_millis(horizon.as_millis() / 4));
 
+    // The registry keeps the layout's own `k` accesses, so every ablation
+    // variant sees the history its features read.
+    let mut registry = StatsRegistry::new(features.k);
     let mut predictor = AccessPredictor::new(window, settings.learner(features));
-    let mut registry = StatsRegistry::new(12);
     let mut scores: Vec<(f64, bool)> = Vec::new();
     replay(
         &events,
@@ -226,7 +228,6 @@ pub fn workload_shift_timeline(
 ) -> AccuracyTimeline {
     let fb = settings.trace(TraceKind::Facebook);
     let cmu = settings.trace(TraceKind::Cmu);
-    let seg_len = settings.workload(TraceKind::Facebook).duration;
     let mut events = Vec::new();
     let mut offset = SimDuration::ZERO;
     let mut use_fb = true;
@@ -239,10 +240,11 @@ pub fn workload_shift_timeline(
             .filter(|(time, _, _)| time.duration_since(SimTime::ZERO + offset) < switch_period)
             .collect();
         events.extend(seg);
-        file_base += 1_000_000;
+        // Ids index the registry's dense slab: space the segments by the
+        // trace's file count, not by a fixed gap.
+        file_base += t.files.len() as u64;
         offset += switch_period;
         use_fb = !use_fb;
-        let _ = seg_len;
     }
     events.sort_by_key(|(t, e, _)| (*t, matches!(e, Ev::Access(_))));
     timeline_over(
@@ -263,8 +265,8 @@ fn timeline_over(
 ) -> AccuracyTimeline {
     let mut learner_cfg = settings.learner(FeatureConfig::default());
     learner_cfg.mode = mode;
+    let mut registry = StatsRegistry::new(learner_cfg.features.k);
     let mut predictor = AccessPredictor::new(window, learner_cfg);
-    let mut registry = StatsRegistry::new(12);
     let mut hourly: Vec<(u64, u64)> = Vec::new(); // (correct, total) per hour
     replay(
         events,
@@ -318,6 +320,34 @@ mod tests {
         assert_eq!(v.len(), 5);
         assert_eq!(v[0].1.n_features(), 15);
         assert_eq!(v[3].1.n_features(), 9);
+    }
+
+    /// Each ablation variant replays through a registry that keeps its own
+    /// `k` accesses: with a 12-access history, "with 18 accesses" saw six
+    /// all-NaN delta columns and trained the default's model.
+    #[test]
+    fn longer_history_variant_trains_its_own_model() {
+        let settings = ExpSettings::quick(3);
+        let run = |features: FeatureConfig| {
+            roc_experiment(
+                &settings,
+                TraceKind::Facebook,
+                settings.downgrade_window(),
+                features,
+                "FB downgrade",
+            )
+        };
+        let default = run(FeatureConfig::default());
+        let longer = run(FeatureConfig {
+            k: 18,
+            ..FeatureConfig::default()
+        });
+        assert!(
+            (longer.roc.auc, longer.accuracy) != (default.roc.auc, default.accuracy),
+            "k = 18 reproduced the default's AUC {} and accuracy {}",
+            default.roc.auc,
+            default.accuracy
+        );
     }
 
     #[test]
