@@ -148,7 +148,7 @@ impl StatsSidecar {
     /// Saves atomically and durably: write a dot-prefixed temp file and
     /// sync it, rename it over the target, then sync the directory so the
     /// rename itself survives a crash. The text streams out entry by entry
-    /// ([`StatsSidecar::write_json`]); it is never held whole in memory.
+    /// (`StatsSidecar::write_json`); it is never held whole in memory.
     pub fn save(&self, path: &Path) -> Result<()> {
         let dir = path.parent().ok_or_else(|| {
             OctoError::InvalidArgument(format!("sidecar path {} has no parent", path.display()))

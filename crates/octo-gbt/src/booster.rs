@@ -14,7 +14,7 @@
 //!
 //! A fresh fold (scoring a point, [`Gbt::predict_margin`]) walks the trees
 //! four at a time in lockstep, one level of each per step, and adds their
-//! outputs in tree order from [`EMPTY_FOLD`]: the sum `Iterator::sum`
+//! outputs in tree order from `EMPTY_FOLD`: the sum `Iterator::sum`
 //! makes, with the node loads of independent trees overlapped.
 
 use crate::dataset::{Dataset, Window, EMPTY_FOLD};
