@@ -18,7 +18,7 @@
 //! ```
 
 use bench::banner;
-use octo_cluster::{run_trace, RunReport, Scenario, SimConfig};
+use octo_cluster::{run_trace, RunReport, Scenario, SimConfig, MONITOR_INTERVAL};
 use octo_common::StorageTier;
 use octo_experiments::{report_digest, ExpSettings};
 use octo_workload::{FaultConfig, FaultSchedule, TraceKind};
@@ -49,7 +49,7 @@ struct Probe {
 
 impl Probe {
     fn run(name: &'static str, cfg: SimConfig, trace: &octo_workload::Trace) -> Self {
-        let monitor_ms = cfg.monitor_interval.as_millis();
+        let monitor_ms = MONITOR_INTERVAL.as_millis();
         let start = std::time::Instant::now();
         let report = run_trace(cfg, trace);
         let wall_secs = start.elapsed().as_secs_f64();

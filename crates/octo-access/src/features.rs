@@ -10,14 +10,20 @@
 //! 3. `oldest retained access − creation`,
 //! 4. `t_r − creation`.
 //!
-//! All deltas are normalized by a maximum interval (default 30 days) and
-//! clamped to `[0, 1]`; the size is normalized by a maximum file size.
+//! All deltas are normalized by a maximum interval (30 days) and clamped
+//! to `[0, 1]`; the size is normalized by a maximum file size (10 GB).
 //! Missing entries are `NaN` — the GBT routes them through learned default
 //! directions, so no imputation happens anywhere.
 
 use octo_common::{ByteSize, SimDuration, SimTime};
-use octo_dfs::AccessStats;
+use octo_dfs::{AccessStats, ACCESS_HISTORY};
 use serde::{Deserialize, Serialize};
+
+/// Normalization constant for time deltas.
+const MAX_INTERVAL: SimDuration = SimDuration::from_hours(24 * 30);
+
+/// Normalization constant for the size feature.
+const MAX_FILE_SIZE: ByteSize = ByteSize::gb(10);
 
 /// Configuration of the feature layout (the §7.6 ablations toggle these).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -28,20 +34,14 @@ pub struct FeatureConfig {
     pub use_size: bool,
     /// Include the two creation-time deltas.
     pub use_creation: bool,
-    /// Normalization constant for time deltas.
-    pub max_interval: SimDuration,
-    /// Normalization constant for the size feature.
-    pub max_file_size: ByteSize,
 }
 
 impl Default for FeatureConfig {
     fn default() -> Self {
         FeatureConfig {
-            k: 12,
+            k: ACCESS_HISTORY,
             use_size: true,
             use_creation: true,
-            max_interval: SimDuration::from_hours(24 * 30),
-            max_file_size: ByteSize::gb(10),
         }
     }
 }
@@ -78,11 +78,6 @@ impl FeatureConfig {
         names
     }
 
-    fn norm_delta(&self, d: SimDuration) -> f32 {
-        let max = self.max_interval.as_millis().max(1) as f64;
-        ((d.as_millis() as f64 / max).min(1.0)) as f32
-    }
-
     /// Builds the feature vector of `stats` as seen at `reference`.
     ///
     /// Only accesses at or before `reference` contribute — later accesses
@@ -96,13 +91,13 @@ impl FeatureConfig {
         let mut out = Vec::with_capacity(self.n_features());
 
         if self.use_size {
-            let max = self.max_file_size.as_bytes().max(1) as f64;
+            let max = MAX_FILE_SIZE.as_bytes() as f64;
             out.push(((stats.size.as_bytes() as f64 / max).min(1.0)) as f32);
         }
 
         // Recency.
         match past.last() {
-            Some(&last) => out.push(self.norm_delta(reference.duration_since(last))),
+            Some(&last) => out.push(norm_delta(reference.duration_since(last))),
             None => out.push(f32::NAN),
         }
 
@@ -111,7 +106,7 @@ impl FeatureConfig {
             if past.len() >= i + 2 {
                 let newer = past[past.len() - 1 - i];
                 let older = past[past.len() - 2 - i];
-                out.push(self.norm_delta(newer.duration_since(older)));
+                out.push(norm_delta(newer.duration_since(older)));
             } else {
                 out.push(f32::NAN);
             }
@@ -119,15 +114,21 @@ impl FeatureConfig {
 
         if self.use_creation {
             match past.first() {
-                Some(&oldest) => out.push(self.norm_delta(oldest.duration_since(stats.created))),
+                Some(&oldest) => out.push(norm_delta(oldest.duration_since(stats.created))),
                 None => out.push(f32::NAN),
             }
-            out.push(self.norm_delta(reference.duration_since(stats.created)));
+            out.push(norm_delta(reference.duration_since(stats.created)));
         }
 
         debug_assert_eq!(out.len(), self.n_features());
         Some(out)
     }
+}
+
+/// A time delta over [`MAX_INTERVAL`], clamped to 1.
+fn norm_delta(d: SimDuration) -> f32 {
+    let max = MAX_INTERVAL.as_millis() as f64;
+    ((d.as_millis() as f64 / max).min(1.0)) as f32
 }
 
 #[cfg(test)]
@@ -157,7 +158,7 @@ mod tests {
         let x = cfg.extract(reg.get(f).unwrap(), reference).unwrap();
         assert_eq!(x.len(), 15); // 1 size + 1 recency + 11 deltas + 2 creation
 
-        let max = cfg.max_interval.as_millis() as f32;
+        let max = MAX_INTERVAL.as_millis() as f32;
         let minutes = |m: f32| m * 60_000.0 / max;
         // size = 200MB / 10GB
         assert!((x[0] - 200.0 / 10240.0).abs() < 1e-6);

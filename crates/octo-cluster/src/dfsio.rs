@@ -11,23 +11,20 @@ use crate::resources::ResourceMap;
 use crate::scenario::Scenario;
 use octo_access::LearnerConfig;
 use octo_common::{ByteSize, FileId, FlowId, IdGen, NodeId, SimDuration, SimTime, StorageTier};
-use octo_dfs::{DfsConfig, TieredDfs, TransferId};
+use octo_dfs::{nic_bandwidth_bps, tier_bandwidth_bps, DfsConfig, TieredDfs, TransferId};
 use octo_policies::TieringConfig;
 use octo_simkit::{EventQueue, FlowModel};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
-/// DFSIO parameters (defaults follow §3.1: 84 GB over 11 workers).
+/// DFSIO parameters (defaults follow §3.1: 84 GB over 11 workers). The
+/// Octopus++ policies run with the default thresholds and learner.
 #[derive(Debug, Clone)]
 pub struct DfsioConfig {
     /// File system variant under test.
     pub scenario: Scenario,
     /// Cluster hardware.
     pub dfs: DfsConfig,
-    /// Policy thresholds (Octopus++ only).
-    pub tiering: TieringConfig,
-    /// Learner configuration (XGB policies only).
-    pub learner: LearnerConfig,
     /// Total bytes to write and then read back.
     pub total: ByteSize,
     /// Size of each DFSIO file.
@@ -43,8 +40,6 @@ impl Default for DfsioConfig {
         DfsioConfig {
             scenario: Scenario::OctopusFs,
             dfs: DfsConfig::default(),
-            tiering: TieringConfig::default(),
-            learner: LearnerConfig::default(),
             total: ByteSize::gb(84),
             file_size: ByteSize::gb(1),
             window: ByteSize::gb(6),
@@ -92,9 +87,11 @@ struct Worker {
 pub fn run_dfsio(cfg: &DfsioConfig) -> DfsioReport {
     let mut dfs = TieredDfs::new(cfg.dfs.clone()).expect("valid config");
     cfg.scenario.configure_dfs(&mut dfs);
-    let mut engine = cfg
-        .scenario
-        .build_engine(&cfg.tiering, &cfg.learner, cfg.seed);
+    let mut engine = cfg.scenario.build_engine(
+        &TieringConfig::default(),
+        &LearnerConfig::default(),
+        cfg.seed,
+    );
     let mut flows = FlowModel::new();
     let resources = ResourceMap::new(&cfg.dfs, &mut flows);
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -518,16 +515,16 @@ fn start_block_read(
         // DFSIO clients pick the *fastest* reachable replica: a remote
         // memory copy (NIC-capped) beats a local spinning disk. Ties break
         // toward local, then lower node id.
-        let nic = dfs.config().nic_bandwidth_mbps;
+        let nic = nic_bandwidth_bps();
         let src = dfs
             .block_info(block)
             .replicas()
             .iter()
             .max_by(|a, b| {
                 let eff = |r: &&octo_dfs::Replica| {
-                    let bw = dfs.config().tier_bandwidth_mbps.get(r.tier);
+                    let bw = tier_bandwidth_bps(r.tier);
                     if r.node == worker.node {
-                        *bw
+                        bw
                     } else {
                         bw.min(nic)
                     }

@@ -27,4 +27,4 @@ pub use dfsio::{run_dfsio, DfsioConfig, DfsioReport};
 pub use resources::ResourceMap;
 pub use runstats::{FaultSummary, JobResult, RunReport, TaskStat};
 pub use scenario::Scenario;
-pub use sim::{run_event_trace, run_trace, ClusterSim, SimConfig};
+pub use sim::{run_event_trace, run_trace, ClusterSim, SimConfig, MONITOR_INTERVAL};

@@ -1,7 +1,7 @@
 //! Mapping from cluster hardware to flow-model resources.
 
 use octo_common::{NodeId, StorageTier};
-use octo_dfs::DfsConfig;
+use octo_dfs::{nic_bandwidth_bps, tier_bandwidth_bps, DfsConfig};
 use octo_simkit::{FlowModel, ResourceId};
 
 /// Resource handles for every device and NIC in the cluster.
@@ -18,12 +18,12 @@ impl ResourceMap {
         let mut nics = Vec::with_capacity(config.workers as usize);
         for _ in 0..config.workers {
             let d = [
-                flows.add_resource(config.tier_bandwidth_bps(StorageTier::Memory)),
-                flows.add_resource(config.tier_bandwidth_bps(StorageTier::Ssd)),
-                flows.add_resource(config.tier_bandwidth_bps(StorageTier::Hdd)),
+                flows.add_resource(tier_bandwidth_bps(StorageTier::Memory)),
+                flows.add_resource(tier_bandwidth_bps(StorageTier::Ssd)),
+                flows.add_resource(tier_bandwidth_bps(StorageTier::Hdd)),
             ];
             devices.push(d);
-            nics.push(flows.add_resource(config.nic_bandwidth_bps()));
+            nics.push(flows.add_resource(nic_bandwidth_bps()));
         }
         ResourceMap { devices, nics }
     }

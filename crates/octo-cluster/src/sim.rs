@@ -11,7 +11,7 @@
 //!   task lands on any node with a local replica, which reproduces the
 //!   paper's HR-by-access vs HR-by-location gap).
 //! * A task reads its block (a bandwidth-model flow from the chosen
-//!   replica), computes (`overhead + cpu_ms_per_mb × MB`), then releases
+//!   replica), computes (`TASK_OVERHEAD + CPU_MS_PER_MB × MB`), then releases
 //!   its slot; when all tasks finish the job writes its replicated output
 //!   through pipeline flows and completes.
 //! * File accesses drive the upgrade policy (before the read starts);
@@ -47,10 +47,36 @@ use octo_dfs::{
 };
 use octo_policies::{TieringConfig, TieringEngine};
 use octo_simkit::{EventQueue, FlowModel};
-use octo_workload::{CompileConfig, EventTrace, FaultKind, FaultSchedule, Trace, TraceError};
+use octo_workload::{EventTrace, FaultKind, FaultSchedule, Trace, TraceError};
 use std::collections::{HashMap, HashSet, VecDeque};
 
-/// Simulation parameters (hardware config + execution model constants).
+/// Concurrent task slots per worker node.
+const SLOTS_PER_NODE: u32 = 8;
+
+/// Fixed task startup overhead.
+const TASK_OVERHEAD: SimDuration = SimDuration::from_millis(1500);
+
+/// CPU milliseconds per input megabyte.
+const CPU_MS_PER_MB: f64 = 18.0;
+
+/// Lifetime of temporary (non-durable) job outputs.
+const OUTPUT_TTL: SimDuration = SimDuration::from_mins(20);
+
+/// Replication-monitor / policy-tick interval.
+pub const MONITOR_INTERVAL: SimDuration = SimDuration::from_secs(60);
+
+/// Byte budget per monitor epoch for repair re-replication.
+const REPAIR_BANDWIDTH: ByteSize = ByteSize::gb(2);
+
+/// Read-amplification factor for *degraded* erasure-coded reads — a read
+/// that must decode around a missing data shard pulls `k` shards and
+/// reconstructs, so its flow carries `penalty × block_size` bytes. Healthy
+/// stripes and replicated blocks never pay it.
+const EC_DEGRADED_READ_PENALTY: f64 = 1.5;
+
+/// Simulation parameters: the hardware, the policies and the faults to
+/// inject. The execution model's constants (task slots, compute cost,
+/// output lifetime, monitor interval, repair budget) are fixed above.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Cluster hardware / DFS parameters.
@@ -61,28 +87,11 @@ pub struct SimConfig {
     pub learner: LearnerConfig,
     /// Which file system variant to simulate.
     pub scenario: Scenario,
-    /// Concurrent task slots per worker node.
-    pub slots_per_node: u32,
-    /// Fixed task startup overhead.
-    pub task_overhead: SimDuration,
-    /// CPU milliseconds per input megabyte.
-    pub cpu_ms_per_mb: f64,
-    /// Lifetime of temporary (non-durable) job outputs.
-    pub output_ttl: SimDuration,
-    /// Replication-monitor / policy-tick interval.
-    pub monitor_interval: SimDuration,
     /// Seed for policy-internal sampling.
     pub seed: u64,
     /// Fault schedule to inject (empty = no faults, no repair: behaviour is
     /// bit-identical to a build without fault support).
     pub faults: FaultSchedule,
-    /// Byte budget per monitor epoch for repair re-replication.
-    pub repair_bandwidth: ByteSize,
-    /// Read-amplification factor for *degraded* erasure-coded reads — a
-    /// read that must decode around a missing data shard pulls `k` shards
-    /// and reconstructs, so its flow carries `penalty × block_size` bytes.
-    /// Healthy stripes and replicated blocks never pay it.
-    pub ec_degraded_read_penalty: f64,
     /// Worker threads for the per-shard epoch fan-out (policy candidate
     /// scans and repair-candidate collection). 1 scans the shards inline,
     /// through the same code; any value produces byte-identical
@@ -104,15 +113,8 @@ impl Default for SimConfig {
             tiering: TieringConfig::default(),
             learner: LearnerConfig::default(),
             scenario: Scenario::OctopusFs,
-            slots_per_node: 8,
-            task_overhead: SimDuration::from_millis(1500),
-            cpu_ms_per_mb: 18.0,
-            output_ttl: SimDuration::from_mins(20),
-            monitor_interval: SimDuration::from_secs(60),
             seed: 42,
             faults: FaultSchedule::none(),
-            repair_bandwidth: ByteSize::gb(2),
-            ec_degraded_read_penalty: 1.5,
             epoch_threads: 1,
             cache: CacheConfig::default(),
         }
@@ -268,14 +270,14 @@ impl<'t> ClusterSim<'t> {
         for (i, ev) in cfg.faults.events().iter().enumerate() {
             queue.schedule(ev.at, Event::Fault(i));
         }
-        queue.schedule(SimTime::ZERO + cfg.monitor_interval, Event::Monitor);
+        queue.schedule(SimTime::ZERO + MONITOR_INTERVAL, Event::Monitor);
 
         let workers = cfg.dfs.workers as usize;
         let pending_recoveries = (0..workers)
             .map(|n| cfg.faults.recoveries_for(NodeId(n as u32)))
             .collect();
         ClusterSim {
-            free_slots: vec![cfg.slots_per_node; workers],
+            free_slots: vec![SLOTS_PER_NODE; workers],
             jobs_remaining: trace.jobs.len(),
             file_map: vec![None; trace.files.len()],
             jobs: Vec::with_capacity(trace.jobs.len()),
@@ -284,7 +286,7 @@ impl<'t> ClusterSim<'t> {
             pending_recoveries,
             monitor_armed: true,
             scheduled_flow_version: None,
-            repair: RepairPlanner::new(cfg.repair_bandwidth),
+            repair: RepairPlanner::new(REPAIR_BANDWIDTH),
             fstats: FaultSummary::default(),
             pool: EpochPool::new(cfg.epoch_threads),
             cache: cfg
@@ -550,7 +552,7 @@ impl<'t> ClusterSim<'t> {
             if let Some((src, degraded)) = self.stripe_read_source(block, node) {
                 let flow_bytes = if degraded {
                     self.fstats.reads_degraded_ec += 1;
-                    amplified_read_bytes(size, self.cfg.ec_degraded_read_penalty)
+                    amplified_read_bytes(size, EC_DEGRADED_READ_PENALTY)
                 } else {
                     size
                 };
@@ -620,9 +622,8 @@ impl<'t> ClusterSim<'t> {
             CacheLevel::L1 => (StorageTier::Memory, true),
             CacheLevel::L2 => (StorageTier::Ssd, false),
         };
-        let svc = self.cfg.cache.service_time(level, size);
-        let cpu = self.cfg.task_overhead
-            + SimDuration::from_millis((self.cfg.cpu_ms_per_mb * size.as_mb_f64()) as u64);
+        let svc = level.service_time(size);
+        let cpu = cpu_time(size);
         self.bytes_read_by_tier[tier.index()] += size;
         self.jobs[job].stats.push(TaskStat {
             read_tier: tier,
@@ -697,8 +698,7 @@ impl<'t> ClusterSim<'t> {
             cache.insert(self.jobs[job].tasks[task].key, size);
         }
         let read_secs = now.duration_since(start).as_secs_f64();
-        let cpu = self.cfg.task_overhead
-            + SimDuration::from_millis((self.cfg.cpu_ms_per_mb * size.as_mb_f64()) as u64);
+        let cpu = cpu_time(size);
         self.bytes_read_by_tier[src.1.index()] += size;
         self.jobs[job].stats.push(TaskStat {
             read_tier: src.1,
@@ -782,7 +782,7 @@ impl<'t> ClusterSim<'t> {
         let spec = &self.trace.jobs[self.jobs[job].spec];
         if !spec.output_durable {
             self.queue
-                .schedule(now + self.cfg.output_ttl, Event::DeleteTemp(file));
+                .schedule(now + OUTPUT_TTL, Event::DeleteTemp(file));
         }
         self.finish_job(job, now);
         self.check_downgrades(now);
@@ -845,8 +845,7 @@ impl<'t> ClusterSim<'t> {
     fn arm_monitor(&mut self, now: SimTime) {
         if !self.monitor_armed {
             self.monitor_armed = true;
-            self.queue
-                .schedule(now + self.cfg.monitor_interval, Event::Monitor);
+            self.queue.schedule(now + MONITOR_INTERVAL, Event::Monitor);
         }
     }
 
@@ -983,7 +982,7 @@ impl<'t> ClusterSim<'t> {
         self.dfs
             .recover_node(node)
             .expect("schedule alternation valid");
-        self.free_slots[node.index()] = self.cfg.slots_per_node;
+        self.free_slots[node.index()] = SLOTS_PER_NODE;
         self.unpark_ready_tasks(now);
         self.refresh_heal_state(now);
         if self.dfs.has_under_redundant() {
@@ -1222,6 +1221,11 @@ impl<'t> ClusterSim<'t> {
     }
 }
 
+/// A task's compute time over `size` input bytes.
+fn cpu_time(size: ByteSize) -> SimDuration {
+    TASK_OVERHEAD + SimDuration::from_millis((CPU_MS_PER_MB * size.as_mb_f64()) as u64)
+}
+
 /// Bytes a degraded erasure-coded read actually moves: `penalty × size`,
 /// rounded **up**. The old `as u64` cast truncated toward zero, which let
 /// an amplified read carry fewer bytes than its nominal amplification (and,
@@ -1240,12 +1244,8 @@ pub fn run_trace(cfg: SimConfig, trace: &Trace) -> RunReport {
 /// `octo_workload::synth` product) and runs it in one call. The report's
 /// workload label is the trace's name rather than the generic `SYN` tag,
 /// so matrix reports stay readable.
-pub fn run_event_trace(
-    cfg: SimConfig,
-    events: &EventTrace,
-    compile: &CompileConfig,
-) -> Result<RunReport, TraceError> {
-    let trace = events.compile(compile)?;
+pub fn run_event_trace(cfg: SimConfig, events: &EventTrace) -> Result<RunReport, TraceError> {
+    let trace = events.compile()?;
     let mut report = run_trace(cfg, &trace);
     report.workload = events.name.clone();
     Ok(report)

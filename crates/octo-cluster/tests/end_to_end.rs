@@ -389,7 +389,7 @@ fn dfsio_write_then_read() {
 fn event_traces_replay_including_deletes_and_long_horizons() {
     use octo_cluster::run_event_trace;
     use octo_common::SimTime;
-    use octo_workload::{CompileConfig, EventTrace, TraceEvent, TraceOp};
+    use octo_workload::{EventTrace, TraceEvent, TraceOp};
 
     // A multi-day audit log: events far past the old absolute 48h runaway
     // guard must replay (the guard is relative to the trace end), and a
@@ -415,12 +415,8 @@ fn event_traces_replay_including_deletes_and_long_horizons() {
             ev(2 * day + 1200, TraceOp::Open, "/b", mb(128)),
         ],
     );
-    let report = run_event_trace(
-        small_sim(Scenario::policy_pair("lru", "osa")),
-        &events,
-        &CompileConfig::default(),
-    )
-    .expect("valid trace replays");
+    let report = run_event_trace(small_sim(Scenario::policy_pair("lru", "osa")), &events)
+        .expect("valid trace replays");
     assert_eq!(report.workload, "audit");
     assert_eq!(report.jobs.len(), 3);
     assert!(report.jobs.iter().all(|j| !j.failed));
@@ -429,5 +425,5 @@ fn event_traces_replay_including_deletes_and_long_horizons() {
     // simulation time.
     let mut bad = events.clone();
     bad.events.push(ev(1800, TraceOp::Read, "/a", mb(64)));
-    assert!(run_event_trace(small_sim(Scenario::Hdfs), &bad, &CompileConfig::default()).is_err());
+    assert!(run_event_trace(small_sim(Scenario::Hdfs), &bad).is_err());
 }

@@ -4,6 +4,18 @@ use octo_common::{ByteSize, OctoError, Result, SimDuration};
 
 use super::CacheLevel;
 
+/// Fixed per-hit latency of an L1 lookup.
+const L1_LATENCY: SimDuration = SimDuration::from_millis(1);
+
+/// Fixed per-hit latency of an L2 lookup.
+const L2_LATENCY: SimDuration = SimDuration::from_millis(5);
+
+/// L1 service bandwidth in binary gigabytes per second.
+const L1_GBPS: f64 = 12.0;
+
+/// L2 service bandwidth in binary gigabytes per second.
+const L2_GBPS: f64 = 2.0;
+
 /// Configuration of the sharded L1 (memory) / L2 (SSD) block cache.
 ///
 /// The default is **disabled** — a `ClusterSim` built with
@@ -37,14 +49,6 @@ pub struct CacheConfig {
     /// `0.6` models a 40 % compression saving. Charges always round up and
     /// never drop below one byte, so accounting stays conservative.
     pub l2_compression_ratio: f64,
-    /// Fixed per-hit latency of an L1 lookup.
-    pub l1_latency: SimDuration,
-    /// Fixed per-hit latency of an L2 lookup.
-    pub l2_latency: SimDuration,
-    /// L1 service bandwidth in binary gigabytes per second.
-    pub l1_gbps: f64,
-    /// L2 service bandwidth in binary gigabytes per second.
-    pub l2_gbps: f64,
 }
 
 impl Default for CacheConfig {
@@ -57,20 +61,11 @@ impl Default for CacheConfig {
             admission: true,
             sketch_width: 1024,
             l2_compression_ratio: 1.0,
-            l1_latency: SimDuration::from_millis(1),
-            l2_latency: SimDuration::from_millis(5),
-            l1_gbps: 12.0,
-            l2_gbps: 2.0,
         }
     }
 }
 
 impl CacheConfig {
-    /// An explicitly disabled cache (the default spelled out).
-    pub fn disabled() -> Self {
-        CacheConfig::default()
-    }
-
     /// An enabled cache with the given level capacities and the remaining
     /// knobs at their defaults.
     pub fn enabled(l1: ByteSize, l2: ByteSize) -> Self {
@@ -102,15 +97,6 @@ impl CacheConfig {
                 "l2_compression_ratio must be in (0, 1], got {}",
                 self.l2_compression_ratio
             )));
-        }
-        if !(self.l1_gbps.is_finite()
-            && self.l1_gbps > 0.0
-            && self.l2_gbps.is_finite()
-            && self.l2_gbps > 0.0)
-        {
-            return Err(OctoError::Config(
-                "cache service bandwidths must be positive and finite".into(),
-            ));
         }
         if self.sketch_width < 1 {
             return Err(OctoError::Config("sketch width must be non-zero".into()));
@@ -144,14 +130,16 @@ impl CacheConfig {
         let charged = (raw as f64 * self.l2_compression_ratio).ceil() as u64;
         ByteSize::from_bytes(charged.max(1))
     }
+}
 
-    /// Service time of a `bytes`-byte hit at `level`: fixed per-level
+impl CacheLevel {
+    /// Service time of a `bytes`-byte hit at this level: fixed per-level
     /// latency plus the transfer at the level's bandwidth. This is what a
     /// hit costs *instead of* a flow through the cluster bandwidth model.
-    pub fn service_time(&self, level: CacheLevel, bytes: ByteSize) -> SimDuration {
-        let (latency, gbps) = match level {
-            CacheLevel::L1 => (self.l1_latency, self.l1_gbps),
-            CacheLevel::L2 => (self.l2_latency, self.l2_gbps),
+    pub fn service_time(self, bytes: ByteSize) -> SimDuration {
+        let (latency, gbps) = match self {
+            CacheLevel::L1 => (L1_LATENCY, L1_GBPS),
+            CacheLevel::L2 => (L2_LATENCY, L2_GBPS),
         };
         latency + SimDuration::from_secs_f64(bytes.as_gb_f64() / gbps)
     }
@@ -188,11 +176,10 @@ mod tests {
 
     #[test]
     fn service_time_is_latency_plus_transfer() {
-        let cfg = CacheConfig::default();
-        let t = cfg.service_time(CacheLevel::L1, ByteSize::gb(12));
+        let t = CacheLevel::L1.service_time(ByteSize::gb(12));
         // 12 GB at 12 GB/s = 1 s, plus 1 ms latency.
         assert_eq!(t, SimDuration::from_millis(1001));
-        let t2 = cfg.service_time(CacheLevel::L2, ByteSize::gb(2));
+        let t2 = CacheLevel::L2.service_time(ByteSize::gb(2));
         assert_eq!(t2, SimDuration::from_millis(1005));
     }
 
@@ -239,17 +226,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_non_positive_bandwidths_and_zero_sketch() {
-        let bad_bw = CacheConfig {
-            l2_gbps: 0.0,
-            ..CacheConfig::default()
-        };
-        assert!(bad_bw.validate().is_err());
-        let nan_bw = CacheConfig {
-            l1_gbps: f64::NAN,
-            ..CacheConfig::default()
-        };
-        assert!(nan_bw.validate().is_err());
+    fn rejects_zero_sketch_width() {
         let no_sketch = CacheConfig {
             sketch_width: 0,
             ..CacheConfig::default()

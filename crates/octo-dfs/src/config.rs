@@ -4,6 +4,26 @@ use crate::stats::HeatConfig;
 use octo_common::{ByteSize, OctoError, PerTier, Result, StorageTier};
 use serde::{Deserialize, Serialize};
 
+/// Per-device read/write bandwidth of each tier, in MB/s (binary MB),
+/// indexed by [`StorageTier::index`]. Single-stream device throughputs,
+/// consistent with the DFSIO throughputs of Figure 2: memory-backed
+/// storage ~6 GB/s; SATA SSD ~500 MB/s; HDD ~130 MB/s sequential.
+const TIER_BANDWIDTH_MBPS: [f64; 3] = [6000.0, 500.0, 130.0];
+
+/// Per-node network interface bandwidth in MB/s (10 GbE, ~1.1 GB/s).
+/// Remote reads and replication pipelines cross the NIC.
+const NIC_BANDWIDTH_MBPS: f64 = 1100.0;
+
+/// Bandwidth of one tier device in bytes/second.
+pub fn tier_bandwidth_bps(tier: StorageTier) -> f64 {
+    TIER_BANDWIDTH_MBPS[tier.index()] * ByteSize::MB as f64
+}
+
+/// NIC bandwidth in bytes/second.
+pub fn nic_bandwidth_bps() -> f64 {
+    NIC_BANDWIDTH_MBPS * ByteSize::MB as f64
+}
+
 /// How a tier protects block data against node and device loss.
 ///
 /// The paper's engine replicates everywhere; production archives instead
@@ -24,8 +44,8 @@ pub enum RedundancyMode {
 /// Static description of the cluster hardware and DFS parameters.
 ///
 /// Defaults mirror the paper's testbed (§7): 11 workers, three tiers sized
-/// 4 GB / 64 GB / 400 GB per node, 128 MB blocks, replication factor 3, and
-/// device bandwidths consistent with the DFSIO throughputs of Figure 2.
+/// 4 GB / 64 GB / 400 GB per node, 128 MB blocks and replication factor 3.
+/// The device and NIC bandwidths are fixed (see [`tier_bandwidth_bps`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DfsConfig {
     /// Number of worker nodes storing blocks.
@@ -36,17 +56,6 @@ pub struct DfsConfig {
     pub replication: u32,
     /// Per-node capacity of each storage tier.
     pub tier_capacity: PerTier<ByteSize>,
-    /// Per-device read/write bandwidth of each tier, in MB/s (binary MB).
-    pub tier_bandwidth_mbps: PerTier<f64>,
-    /// Per-node network interface bandwidth in MB/s (remote reads and
-    /// replication pipelines cross the NIC).
-    pub nic_bandwidth_mbps: f64,
-    /// Placement refuses to fill a device beyond this fraction; the gap
-    /// leaves room for in-flight transfers to land.
-    pub placement_fill_limit: f64,
-    /// How many recent access timestamps to retain per file (the paper's
-    /// `k`, default 12; the ablation study also uses 6 and 18).
-    pub access_history: usize,
     /// Per-tier redundancy mode. Defaults to `Replicated(replication)` on
     /// every tier, which is bit-identical to the pre-EC behavior; setting a
     /// cold tier to `Erasure { k, m }` makes downgrades into it stripe the
@@ -68,17 +77,6 @@ impl Default for DfsConfig {
                 StorageTier::Ssd => ByteSize::gb(64),
                 StorageTier::Hdd => ByteSize::gb(400),
             }),
-            // Single-stream device throughputs. HDD ~130 MB/s sequential;
-            // SATA SSD ~500 MB/s; memory-backed storage ~6 GB/s.
-            tier_bandwidth_mbps: PerTier::from_fn(|t| match t {
-                StorageTier::Memory => 6000.0,
-                StorageTier::Ssd => 500.0,
-                StorageTier::Hdd => 130.0,
-            }),
-            // 10 GbE, ~1.1 GB/s.
-            nic_bandwidth_mbps: 1100.0,
-            placement_fill_limit: 0.95,
-            access_history: 12,
             redundancy: PerTier::from_fn(|_| RedundancyMode::Replicated(3)),
             heat: HeatConfig::default(),
         }
@@ -107,23 +105,6 @@ impl DfsConfig {
             if cap.is_zero() {
                 return Err(OctoError::Config(format!("{tier} capacity is zero")));
             }
-        }
-        for (tier, bw) in self.tier_bandwidth_mbps.iter() {
-            if !(bw.is_finite() && *bw > 0.0) {
-                return Err(OctoError::Config(format!("{tier} bandwidth must be > 0")));
-            }
-        }
-        if !(self.nic_bandwidth_mbps.is_finite() && self.nic_bandwidth_mbps > 0.0) {
-            return Err(OctoError::Config("NIC bandwidth must be > 0".into()));
-        }
-        if !(0.5..=1.0).contains(&self.placement_fill_limit) {
-            return Err(OctoError::Config(format!(
-                "placement_fill_limit must be in [0.5, 1.0], got {}",
-                self.placement_fill_limit
-            )));
-        }
-        if self.access_history == 0 {
-            return Err(OctoError::Config("access_history must be >= 1".into()));
         }
         if self.heat.half_life.is_zero() {
             return Err(OctoError::Config("heat half_life must be non-zero".into()));
@@ -194,16 +175,6 @@ impl DfsConfig {
     pub fn cluster_tier_capacity(&self, tier: StorageTier) -> ByteSize {
         *self.tier_capacity.get(tier) * self.workers as u64
     }
-
-    /// Bandwidth of one tier device in bytes/second.
-    pub fn tier_bandwidth_bps(&self, tier: StorageTier) -> f64 {
-        self.tier_bandwidth_mbps.get(tier) * ByteSize::MB as f64
-    }
-
-    /// NIC bandwidth in bytes/second.
-    pub fn nic_bandwidth_bps(&self) -> f64 {
-        self.nic_bandwidth_mbps * ByteSize::MB as f64
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +194,7 @@ mod tests {
             c.cluster_tier_capacity(StorageTier::Memory),
             ByteSize::gb(44)
         );
-        assert_eq!(c.access_history, 12);
+        assert_eq!(crate::stats::ACCESS_HISTORY, 12);
     }
 
     #[test]
@@ -237,17 +208,11 @@ mod tests {
         assert!(bad(|c| c.replication = 0));
         assert!(bad(|c| c.replication = 99));
         assert!(bad(|c| c.block_size = ByteSize::ZERO));
-        assert!(bad(|c| c.nic_bandwidth_mbps = 0.0));
-        assert!(bad(|c| c.placement_fill_limit = 1.5));
-        assert!(bad(|c| c.access_history = 0));
         assert!(bad(|c| c.heat.half_life = octo_common::SimDuration::ZERO));
         assert!(bad(|c| c.heat.read_weight = f64::NAN));
         assert!(bad(|c| c.heat.write_weight = -1.0));
         assert!(bad(
             |c| *c.tier_capacity.get_mut(StorageTier::Ssd) = ByteSize::ZERO
-        ));
-        assert!(bad(
-            |c| *c.tier_bandwidth_mbps.get_mut(StorageTier::Hdd) = -1.0
         ));
     }
 
@@ -290,11 +255,10 @@ mod tests {
 
     #[test]
     fn bandwidth_conversions() {
-        let c = DfsConfig::default();
         assert_eq!(
-            c.tier_bandwidth_bps(StorageTier::Hdd),
+            tier_bandwidth_bps(StorageTier::Hdd),
             130.0 * 1024.0 * 1024.0
         );
-        assert_eq!(c.nic_bandwidth_bps(), 1100.0 * 1024.0 * 1024.0);
+        assert_eq!(nic_bandwidth_bps(), 1100.0 * 1024.0 * 1024.0);
     }
 }

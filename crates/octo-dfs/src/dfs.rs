@@ -22,12 +22,12 @@ use crate::config::DfsConfig;
 use crate::files::{FileMeta, FileState, FileTable};
 use crate::namespace::{Entry, Namespace};
 use crate::node::NodeManager;
-use crate::placement::{PlacementPolicy, PlacementWeights};
+use crate::placement::PlacementPolicy;
 use crate::recency::RecencyIndex;
 use crate::replication::{
     BlockAction, BlockTransfer, MovementStats, Transfer, TransferId, TransferKind, TransferTable,
 };
-use crate::stats::{AccessStats, StatsRegistry};
+use crate::stats::{AccessStats, StatsRegistry, ACCESS_HISTORY};
 use octo_common::{BlockId, ByteSize, FileId, NodeId, OctoError, Result, SimTime, StorageTier};
 
 /// Where a downgrade should land (§5.3: normally the placement policy picks
@@ -99,22 +99,15 @@ pub struct TieredDfs {
 impl TieredDfs {
     /// Builds a DFS over the configured cluster with default placement.
     pub fn new(config: DfsConfig) -> Result<Self> {
-        let placement =
-            PlacementPolicy::new(PlacementWeights::default(), config.placement_fill_limit);
-        Self::with_placement(config, placement)
-    }
-
-    /// Builds a DFS with a custom placement policy.
-    pub fn with_placement(config: DfsConfig, placement: PlacementPolicy) -> Result<Self> {
         config.validate()?;
         Ok(TieredDfs {
             nodes: NodeManager::new(&config),
-            stats: StatsRegistry::with_heat(config.access_history, config.heat),
+            stats: StatsRegistry::with_heat(ACCESS_HISTORY, config.heat),
             recency: RecencyIndex::new(),
             ns: Namespace::new(),
             files: FileTable::new(),
             blocks: BlockManager::with_target(config.replication),
-            placement,
+            placement: PlacementPolicy::new(),
             transfers: TransferTable::new(),
             config,
         })

@@ -66,17 +66,17 @@ pub mod stats;
 pub use backend::{FileRecord, StorageBackend, TierStatus};
 pub use block::{BlockInfo, BlockManager, Replica};
 pub use cache::{BlockCache, BlockKey, CacheConfig, CacheLevel, CacheStats};
-pub use config::{DfsConfig, RedundancyMode};
+pub use config::{nic_bandwidth_bps, tier_bandwidth_bps, DfsConfig, RedundancyMode};
 pub use dfs::{BlockWrite, DowngradeTarget, NodeFailure, TieredDfs, WritePlan};
 pub use ec::{shard_size, EcError, ReedSolomon, ShardLoc, Stripe, StripeManager};
 pub use epoch::{EpochPool, ShardEpochPlan, ShardView};
 pub use files::{FileMeta, FileState, FileTable};
 pub use namespace::{Entry, Namespace};
 pub use node::{Device, NodeManager};
-pub use placement::{PlacementPolicy, PlacementWeights};
+pub use placement::PlacementPolicy;
 pub use recency::RecencyIndex;
 pub use replication::{
     BlockAction, BlockTransfer, MovementStats, RepairPlanner, Transfer, TransferId, TransferKind,
 };
 pub use shard::{shard_of, SHARD_COUNT};
-pub use stats::{AccessStats, HeatConfig, StatsRegistry};
+pub use stats::{AccessStats, HeatConfig, StatsRegistry, ACCESS_HISTORY};

@@ -19,7 +19,7 @@
 //! the source copy, so tier moves stay on-node (no network) when possible.
 //!
 //! The policy keeps a table with one cell per `(node, tier)`: the device's
-//! committed bytes, its admission limit (`capacity × fill_limit`) and its
+//! committed bytes, its admission limit (`capacity × FILL_LIMIT`) and its
 //! score before the per-block terms, plus each node's liveness. The table
 //! is allocated on the first placement. Before each placement it re-reads
 //! only the nodes whose [`NodeManager`] change counter moved, and all of
@@ -33,34 +33,25 @@
 use crate::block::BlockInfo;
 use crate::node::{Device, NodeManager};
 use octo_common::{ByteSize, NodeId, StorageTier};
-use serde::{Deserialize, Serialize};
 
-/// Objective weights for [`PlacementPolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PlacementWeights {
-    /// Weight of the tier-speed objective.
-    pub throughput: f64,
-    /// Weight of the free-space objective.
-    pub data_balance: f64,
-    /// Weight of the idle-device objective.
-    pub load_balance: f64,
-    /// Penalty per replica of the same block already on a tier.
-    pub tier_diversity_penalty: f64,
-    /// Bonus for placing on the preferred (source) node.
-    pub locality_bonus: f64,
-}
+/// Weight of the tier-speed objective.
+const THROUGHPUT_WEIGHT: f64 = 1.0;
 
-impl Default for PlacementWeights {
-    fn default() -> Self {
-        PlacementWeights {
-            throughput: 1.0,
-            data_balance: 0.35,
-            load_balance: 0.15,
-            tier_diversity_penalty: 1.2,
-            locality_bonus: 0.3,
-        }
-    }
-}
+/// Weight of the free-space objective.
+const DATA_BALANCE_WEIGHT: f64 = 0.35;
+
+/// Weight of the idle-device objective.
+const LOAD_BALANCE_WEIGHT: f64 = 0.15;
+
+/// Penalty per replica of the same block already on a tier.
+const TIER_DIVERSITY_PENALTY: f64 = 1.2;
+
+/// Bonus for placing on the preferred (source) node.
+const LOCALITY_BONUS: f64 = 0.3;
+
+/// Placement refuses to fill a device beyond this fraction; the gap leaves
+/// room for in-flight transfers to land.
+const FILL_LIMIT: f64 = 0.95;
 
 /// What placement reads of one device.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -88,27 +79,20 @@ struct Table {
 /// adds to its cell's base, and the best candidate met so far.
 struct Scan {
     size: ByteSize,
-    /// `tier_diversity_penalty × uses` of each tier.
+    /// `TIER_DIVERSITY_PENALTY × uses` of each tier.
     penalty: [f64; 3],
     prefer_node: Option<NodeId>,
-    locality_bonus: f64,
     best: Option<(NodeId, StorageTier)>,
     /// The best score plus `1e-12`: a later candidate must score above it.
     bar: f64,
 }
 
 impl Scan {
-    fn new(
-        weights: &PlacementWeights,
-        size: ByteSize,
-        tier_uses: &[u32; 3],
-        prefer_node: Option<NodeId>,
-    ) -> Scan {
+    fn new(size: ByteSize, tier_uses: &[u32; 3], prefer_node: Option<NodeId>) -> Scan {
         Scan {
             size,
-            penalty: tier_uses.map(|uses| weights.tier_diversity_penalty * uses as f64),
+            penalty: tier_uses.map(|uses| TIER_DIVERSITY_PENALTY * uses as f64),
             prefer_node,
-            locality_bonus: weights.locality_bonus,
             best: None,
             bar: 0.0,
         }
@@ -125,7 +109,7 @@ impl Scan {
         let mut s = cell.base;
         s -= self.penalty[tier.index()];
         if self.prefer_node == Some(node) {
-            s += self.locality_bonus;
+            s += LOCALITY_BONUS;
         }
         if self.best.is_none() || s > self.bar {
             self.best = Some((node, tier));
@@ -137,9 +121,6 @@ impl Scan {
 /// The pluggable placement policy.
 #[derive(Debug, Clone)]
 pub struct PlacementPolicy {
-    weights: PlacementWeights,
-    /// Devices are never filled beyond this fraction by placement.
-    fill_limit: f64,
     /// When set, initial placement is restricted to these tiers (used by the
     /// paper's upgrade-only experiment, which forces all data onto HDD).
     allowed_initial_tiers: Vec<StorageTier>,
@@ -147,11 +128,9 @@ pub struct PlacementPolicy {
 }
 
 impl PlacementPolicy {
-    /// A policy with the given weights and fill limit.
-    pub fn new(weights: PlacementWeights, fill_limit: f64) -> Self {
+    /// A policy that may place initial replicas on every tier.
+    pub(crate) fn new() -> Self {
         PlacementPolicy {
-            weights,
-            fill_limit,
             allowed_initial_tiers: StorageTier::ALL.to_vec(),
             table: Table::default(),
         }
@@ -164,21 +143,15 @@ impl PlacementPolicy {
         self.allowed_initial_tiers = tiers.to_vec();
     }
 
-    /// The configured weights.
-    pub fn weights(&self) -> &PlacementWeights {
-        &self.weights
-    }
-
     /// Reads one device into a cell.
     fn read_cell(&self, d: &Device, tier: StorageTier) -> Cell {
-        let w = &self.weights;
         let tier_speed = tier.rank() as f64 / 2.0;
         Cell {
             committed: d.committed(),
-            limit: ByteSize::from_bytes((d.capacity().as_bytes() as f64 * self.fill_limit) as u64),
-            base: w.throughput * tier_speed
-                + w.data_balance * (1.0 - d.utilization())
-                + w.load_balance / (1.0 + d.active_io() as f64),
+            limit: ByteSize::from_bytes((d.capacity().as_bytes() as f64 * FILL_LIMIT) as u64),
+            base: THROUGHPUT_WEIGHT * tier_speed
+                + DATA_BALANCE_WEIGHT * (1.0 - d.utilization())
+                + LOAD_BALANCE_WEIGHT / (1.0 + d.active_io() as f64),
         }
     }
 
@@ -251,7 +224,7 @@ impl PlacementPolicy {
         prefer_node: Option<NodeId>,
         allow_preferred_excluded: bool,
     ) -> Option<(NodeId, StorageTier)> {
-        let mut scan = Scan::new(&self.weights, size, tier_uses, prefer_node);
+        let mut scan = Scan::new(size, tier_uses, prefer_node);
         let rows = self.table.cells.chunks_exact(3).zip(&self.table.alive);
         for (node, (row, &alive)) in nodes.node_ids().zip(rows) {
             debug_assert_eq!(alive, nodes.is_alive(node), "liveness of {node} is stale");
@@ -351,7 +324,7 @@ impl PlacementPolicy {
         let holders: Vec<NodeId> = block.nodes().collect();
         // First choice: co-locate with an existing lower-tier replica.
         let tier_uses = [0u32; 3];
-        let mut scan = Scan::new(&self.weights, block.size, &tier_uses, None);
+        let mut scan = Scan::new(block.size, &tier_uses, None);
         for r in block.replicas() {
             if r.tier == tier || r.dead || !self.alive(nodes, r.node) {
                 continue;
@@ -442,20 +415,13 @@ impl PlacementPolicy {
 mod reference {
     use super::*;
 
-    fn fits(
-        p: &PlacementPolicy,
-        nodes: &NodeManager,
-        node: NodeId,
-        tier: StorageTier,
-        size: ByteSize,
-    ) -> bool {
+    fn fits(nodes: &NodeManager, node: NodeId, tier: StorageTier, size: ByteSize) -> bool {
         let d = nodes.device(node, tier);
-        let limit = ByteSize::from_bytes((d.capacity().as_bytes() as f64 * p.fill_limit) as u64);
+        let limit = ByteSize::from_bytes((d.capacity().as_bytes() as f64 * FILL_LIMIT) as u64);
         d.committed() + size <= limit
     }
 
     fn score(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         node: NodeId,
         tier: StorageTier,
@@ -463,21 +429,19 @@ mod reference {
         prefer_node: Option<NodeId>,
     ) -> f64 {
         let d = nodes.device(node, tier);
-        let w = &p.weights;
         let tier_speed = tier.rank() as f64 / 2.0;
-        let mut s = w.throughput * tier_speed
-            + w.data_balance * (1.0 - d.utilization())
-            + w.load_balance / (1.0 + d.active_io() as f64);
-        s -= w.tier_diversity_penalty * tier_uses[tier.index()] as f64;
+        let mut s = THROUGHPUT_WEIGHT * tier_speed
+            + DATA_BALANCE_WEIGHT * (1.0 - d.utilization())
+            + LOAD_BALANCE_WEIGHT / (1.0 + d.active_io() as f64);
+        s -= TIER_DIVERSITY_PENALTY * tier_uses[tier.index()] as f64;
         if prefer_node == Some(node) {
-            s += w.locality_bonus;
+            s += LOCALITY_BONUS;
         }
         s
     }
 
     #[allow(clippy::too_many_arguments)]
     fn best_candidate(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         size: ByteSize,
         candidate_tiers: &[StorageTier],
@@ -496,10 +460,10 @@ mod reference {
                 continue;
             }
             for &tier in candidate_tiers {
-                if !fits(p, nodes, node, tier, size) {
+                if !fits(nodes, node, tier, size) {
                     continue;
                 }
-                let s = score(p, nodes, node, tier, tier_uses, prefer_node);
+                let s = score(nodes, node, tier, tier_uses, prefer_node);
                 let better = match &best {
                     Some((_, bs)) => s > *bs + 1e-12,
                     None => true,
@@ -523,7 +487,6 @@ mod reference {
         let mut exclude = Vec::new();
         for _ in 0..n_replicas {
             let Some((node, tier)) = best_candidate(
-                p,
                 nodes,
                 size,
                 &p.allowed_initial_tiers,
@@ -542,7 +505,6 @@ mod reference {
     }
 
     pub(super) fn place_move(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         block: &BlockInfo,
         allowed_tiers: &[StorageTier],
@@ -554,7 +516,6 @@ mod reference {
             tier_uses[r.tier.index()] += 1;
         }
         best_candidate(
-            p,
             nodes,
             block.size,
             allowed_tiers,
@@ -566,7 +527,6 @@ mod reference {
     }
 
     pub(super) fn place_copy(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         block: &BlockInfo,
         tier: StorageTier,
@@ -581,10 +541,10 @@ mod reference {
             if block.replica_at(r.node, tier).is_some() {
                 continue;
             }
-            if !fits(p, nodes, r.node, tier, block.size) {
+            if !fits(nodes, r.node, tier, block.size) {
                 continue;
             }
-            let s = score(p, nodes, r.node, tier, &tier_uses, None);
+            let s = score(nodes, r.node, tier, &tier_uses, None);
             if best.as_ref().is_none_or(|(_, bs)| s > *bs + 1e-12) {
                 best = Some(((r.node, tier), s));
             }
@@ -593,7 +553,6 @@ mod reference {
             return best.map(|(c, _)| c);
         }
         best_candidate(
-            p,
             nodes,
             block.size,
             &[tier],
@@ -605,7 +564,6 @@ mod reference {
     }
 
     pub(super) fn place_repair(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         block: &BlockInfo,
         tier: StorageTier,
@@ -618,7 +576,6 @@ mod reference {
             tier_uses[r.tier.index()] += 1;
         }
         best_candidate(
-            p,
             nodes,
             block.size,
             &[tier],
@@ -630,14 +587,12 @@ mod reference {
     }
 
     pub(super) fn place_shard(
-        p: &PlacementPolicy,
         nodes: &NodeManager,
         shard_size: ByteSize,
         tier: StorageTier,
         exclude_nodes: &[NodeId],
     ) -> Option<(NodeId, StorageTier)> {
         best_candidate(
-            p,
             nodes,
             shard_size,
             &[tier],
@@ -667,7 +622,7 @@ mod tests {
     }
 
     fn policy() -> PlacementPolicy {
-        PlacementPolicy::new(PlacementWeights::default(), 0.95)
+        PlacementPolicy::new()
     }
 
     #[test]
@@ -892,10 +847,10 @@ mod tests {
 
     /// Bytes that exactly fill `(node, tier)` to its admission limit, or
     /// overshoot it by one, or a round size.
-    fn random_size(p: &PlacementPolicy, nodes: &NodeManager, pick: u64, node: NodeId) -> ByteSize {
+    fn random_size(nodes: &NodeManager, pick: u64, node: NodeId) -> ByteSize {
         let tier = StorageTier::ALL[(pick % 3) as usize];
         let d = nodes.device(node, tier);
-        let limit = (d.capacity().as_bytes() as f64 * p.fill_limit) as u64;
+        let limit = (d.capacity().as_bytes() as f64 * FILL_LIMIT) as u64;
         let room = limit.saturating_sub(d.committed().as_bytes());
         match pick / 3 % 4 {
             0 => ByteSize::from_bytes(room.max(1)),
@@ -952,13 +907,13 @@ mod tests {
                     6 => current.set_alive(node, bits >> 2 & 1 == 1),
                     7 => std::mem::swap(&mut current, &mut other),
                     8 | 9 => {
-                        let size = random_size(&p, &current, bits, node);
+                        let size = random_size(&current, bits, node);
                         let replicas = 1 + (bits >> 8) as u32 % 3;
                         let want = reference::place_new_block(&p, &current, size, replicas);
                         prop_assert_eq!(p.place_new_block(&current, size, replicas), want);
                     }
                     10 | 11 => {
-                        let size = random_size(&p, &current, bits, node);
+                        let size = random_size(&current, bits, node);
                         let block = random_block(workers, size, bits >> 8);
                         let allowed = tier_set(bits >> 4);
                         // The source is a holder (preferred although
@@ -968,26 +923,26 @@ mod tests {
                         } else {
                             node
                         };
-                        let want = reference::place_move(&p, &current, &block, &allowed, from);
+                        let want = reference::place_move(&current, &block, &allowed, from);
                         prop_assert_eq!(p.place_move(&current, &block, &allowed, from), want);
                     }
                     12 => {
-                        let size = random_size(&p, &current, bits, node);
+                        let size = random_size(&current, bits, node);
                         let block = random_block(workers, size, bits >> 8);
-                        let want = reference::place_copy(&p, &current, &block, tier);
+                        let want = reference::place_copy(&current, &block, tier);
                         prop_assert_eq!(p.place_copy(&current, &block, tier), want);
                     }
                     13 => {
-                        let size = random_size(&p, &current, bits, node);
+                        let size = random_size(&current, bits, node);
                         let block = random_block(workers, size, bits >> 8);
                         let extra = random_nodes(workers, bits >> 24);
-                        let want = reference::place_repair(&p, &current, &block, tier, &extra);
+                        let want = reference::place_repair(&current, &block, tier, &extra);
                         prop_assert_eq!(p.place_repair(&current, &block, tier, &extra), want);
                     }
                     14 => {
-                        let size = random_size(&p, &current, bits, node);
+                        let size = random_size(&current, bits, node);
                         let exclude = random_nodes(workers, bits >> 8);
-                        let want = reference::place_shard(&p, &current, size, tier, &exclude);
+                        let want = reference::place_shard(&current, size, tier, &exclude);
                         prop_assert_eq!(p.place_shard(&current, size, tier, &exclude), want);
                     }
                     _ => {}

@@ -123,6 +123,11 @@ impl AccessStats {
     }
 }
 
+/// How many recent access timestamps the DFS retains per file: the paper's
+/// `k` = 12 (§4.1). The §7.6 ablation's 6 and 18 replay through registries
+/// of their own.
+pub const ACCESS_HISTORY: usize = 12;
+
 /// Registry of [`AccessStats`] for all live files.
 ///
 /// A dense slab keyed by [`FileId`]: ids are allocated sequentially and

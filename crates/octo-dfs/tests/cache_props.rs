@@ -76,7 +76,6 @@ proptest! {
             admission,
             sketch_width: 64,
             l2_compression_ratio: if compress { 0.6 } else { 1.0 },
-            ..CacheConfig::default()
         };
         let mut live = BlockCache::new(cfg.clone());
         apply(&mut live, &ops);

@@ -20,7 +20,7 @@
 use crate::settings::ExpSettings;
 use octo_cluster::{run_trace, Scenario, SimConfig};
 use octo_metrics::{human_bytes, render_markdown_table, RunSummary};
-use octo_workload::{CompileConfig, EventTrace, FaultSchedule, Trace, TraceError};
+use octo_workload::{EventTrace, FaultSchedule, Trace, TraceError};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,10 +45,10 @@ impl MatrixWorkload {
 
     /// Compiles an event-level trace into the grid (the trace's own name
     /// becomes the workload label).
-    pub fn from_events(events: &EventTrace, compile: &CompileConfig) -> Result<Self, TraceError> {
+    pub fn from_events(events: &EventTrace) -> Result<Self, TraceError> {
         Ok(MatrixWorkload {
             name: events.name.clone(),
-            trace: events.compile(compile)?,
+            trace: events.compile()?,
         })
     }
 }
@@ -313,7 +313,7 @@ mod tests {
             scenarios: vec![Scenario::OctopusFs, Scenario::policy_pair("lru", "osa")],
             workloads: vec![
                 MatrixWorkload::from_trace("FB", settings.trace(TraceKind::Facebook)),
-                MatrixWorkload::from_events(&events, &CompileConfig::default()).unwrap(),
+                MatrixWorkload::from_events(&events).unwrap(),
             ],
             faults: vec![FaultPlan::none()],
         }

@@ -22,8 +22,7 @@ use crate::settings::ExpSettings;
 use octo_cluster::Scenario;
 use octo_metrics::{human_bytes, render_markdown_table};
 use octo_workload::{
-    synthesize, synthesize_mix, CompileConfig, FaultConfig, FaultSchedule, MixConfig, SynthConfig,
-    TraceKind,
+    synthesize, synthesize_mix, FaultConfig, FaultSchedule, MixConfig, SynthConfig, TraceKind,
 };
 use serde::{Deserialize, Serialize};
 
@@ -52,10 +51,9 @@ pub fn standing_spec(settings: &ExpSettings) -> MatrixSpec {
 
     let sim = settings.sim(Scenario::policy_pair("lru", "osa"));
     let memory = *sim.dfs.tier_capacity.get(octo_common::StorageTier::Memory);
-    let compile = CompileConfig::default();
     let pressured = |cfg: SynthConfig| cfg.with_tier_pressure(memory, 3.0);
     let synth_workload = |cfg: &SynthConfig| {
-        MatrixWorkload::from_events(&synthesize(cfg, settings.seed), &compile)
+        MatrixWorkload::from_events(&synthesize(cfg, settings.seed))
             .expect("synthetic trace compiles")
     };
     let mix = MixConfig::million_clients();
@@ -64,7 +62,7 @@ pub fn standing_spec(settings: &ExpSettings) -> MatrixSpec {
         synth_workload(&pressured(SynthConfig::diurnal())),
         synth_workload(&pressured(SynthConfig::bursty())),
         synth_workload(&SynthConfig::heavy_tailed()),
-        MatrixWorkload::from_events(&synthesize_mix(&mix, settings.seed), &compile)
+        MatrixWorkload::from_events(&synthesize_mix(&mix, settings.seed))
             .expect("million-client mix compiles"),
     ];
 

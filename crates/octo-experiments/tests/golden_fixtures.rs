@@ -233,7 +233,10 @@ fn xgb_xgb_serving_quick_run_matches_golden_fixture() {
         .filter(|l| l.role == octo_policies::PolicyRole::Upgrade)
         .map(|l| l.counters.predictions_served)
         .sum();
-    assert!(served > 0, "pinned serving run never served an upgrade prediction");
+    assert!(
+        served > 0,
+        "pinned serving run never served an upgrade prediction"
+    );
     let to_memory = report
         .movement
         .upgraded_to

@@ -6,9 +6,7 @@
 use octo_cluster::Scenario;
 use octo_common::SimDuration;
 use octo_experiments::{run_matrix, ExpSettings, FaultPlan, MatrixSpec, MatrixWorkload};
-use octo_workload::{
-    synthesize, CompileConfig, FaultConfig, FaultSchedule, SynthConfig, TraceKind,
-};
+use octo_workload::{synthesize, FaultConfig, FaultSchedule, SynthConfig, TraceKind};
 
 fn spec(settings: &ExpSettings) -> MatrixSpec {
     let shrink = |mut cfg: SynthConfig| {
@@ -23,8 +21,8 @@ fn spec(settings: &ExpSettings) -> MatrixSpec {
         scenarios: vec![Scenario::OctopusFs, Scenario::policy_pair("lru", "osa")],
         workloads: vec![
             MatrixWorkload::from_trace("FB", settings.trace(TraceKind::Facebook)),
-            MatrixWorkload::from_events(&zipf, &CompileConfig::default()).unwrap(),
-            MatrixWorkload::from_events(&bursty, &CompileConfig::default()).unwrap(),
+            MatrixWorkload::from_events(&zipf).unwrap(),
+            MatrixWorkload::from_events(&bursty).unwrap(),
         ],
         faults: vec![
             FaultPlan::none(),

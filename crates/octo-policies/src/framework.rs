@@ -42,7 +42,7 @@
 use crate::parallel::{PhasePlan, ScanBatch};
 use crate::xgb::XgbUpgrade;
 use octo_access::LearnerCounters;
-use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
+use octo_common::{ByteSize, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs, TransferId};
 use serde::{Deserialize, Serialize};
 
@@ -53,23 +53,10 @@ pub struct TieringConfig {
     pub start_threshold: f64,
     /// ... and stops below this utilization (§5.4, 85%).
     pub stop_threshold: f64,
-    /// LRFU half-life `H` (Formula 1; §5.2, 6 hours).
-    pub lrfu_half_life: SimDuration,
     /// LRFU upgrade weight threshold (§6.1, empirically 3).
     pub lrfu_upgrade_threshold: f64,
-    /// EXD decay constant α per millisecond (§5.2; 1.16e-8 following Big
-    /// SQL — interpreted per-ms, giving a ≈16.6 h half-life).
-    pub exd_alpha: f64,
-    /// LIFE / LFU-F old-file window (§5.2, e.g. 9 hours).
-    pub pacman_window: SimDuration,
-    /// How many LRU/MRU candidates the XGB policies score (§5.2/§6.1, 200).
-    pub xgb_candidates: usize,
-    /// XGB discrimination threshold (§6.1, 0.5).
-    pub xgb_threshold: f64,
     /// XGB upgrade batch byte limit (§6.4, 1 GB).
     pub xgb_upgrade_limit: ByteSize,
-    /// How many files the periodic tick samples for training data (§4.2).
-    pub sample_files_per_tick: usize,
     /// Watermark family: heat at or above which a file *enters* the hot
     /// band (upgrade-eligible, downgrade-exempt).
     pub watermark_hot: f64,
@@ -87,14 +74,8 @@ impl Default for TieringConfig {
         TieringConfig {
             start_threshold: 0.90,
             stop_threshold: 0.85,
-            lrfu_half_life: SimDuration::from_hours(6),
             lrfu_upgrade_threshold: 3.0,
-            exd_alpha: 1.16e-8,
-            pacman_window: SimDuration::from_hours(9),
-            xgb_candidates: 200,
-            xgb_threshold: 0.5,
             xgb_upgrade_limit: ByteSize::gb(1),
-            sample_files_per_tick: 64,
             watermark_hot: 2.0,
             watermark_cold: 0.75,
             watermark_hysteresis: 0.25,

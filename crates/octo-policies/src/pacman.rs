@@ -17,8 +17,11 @@
 use crate::classic::{access_count, lfu_key};
 use crate::framework::{DowngradePolicy, TieringConfig};
 use crate::parallel::{Candidate, PhasePlan, ScanBatch};
-use octo_common::{FileId, SimTime, StorageTier};
+use octo_common::{FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::{EpochPool, ShardEpochPlan, TieredDfs};
+
+/// LIFE / LFU-F old-file window (§5.2, e.g. 9 hours).
+const PACMAN_WINDOW: SimDuration = SimDuration::from_hours(9);
 
 /// LIFE's `P_new` order: the largest file first, ties on ascending id.
 fn largest_first(dfs: &TieredDfs, f: FileId) -> [u64; 3] {
@@ -87,7 +90,7 @@ impl DowngradePolicy for PacmanDowngrade {
                 if !dfs.is_movable(f) {
                     continue;
                 }
-                if now.duration_since(last) > self.cfg.pacman_window {
+                if now.duration_since(last) > PACMAN_WINDOW {
                     let key = [access_count(dfs, f), last.as_millis(), f.raw()];
                     old.push(Candidate::keyed(key, f));
                 } else {

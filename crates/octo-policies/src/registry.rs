@@ -58,7 +58,7 @@ pub fn upgrade_policy(
     Some(match name {
         "osa" => Box::new(OsaUpgrade),
         "lrfu" => Box::new(LrfuUpgrade::new(cfg.clone())),
-        "exd" => Box::new(ExdUpgrade::new(cfg.clone())),
+        "exd" => Box::new(ExdUpgrade::default()),
         "xgb" => Box::new(XgbUpgrade::new(cfg.clone(), learner.clone(), seed)),
         "watermark" => Box::new(WatermarkUpgrade::new(cfg.clone())),
         "hybrid" => Box::new(XgbUpgrade::hybrid(cfg.clone(), learner.clone(), seed)),

@@ -32,7 +32,7 @@
 
 use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
-use crate::xgb::{sample_files, DOWNGRADE_WINDOW};
+use crate::xgb::{sample_files, DOWNGRADE_WINDOW, XGB_CANDIDATES};
 use octo_access::{AccessPredictor, LearnerConfig, LearnerCounters};
 use octo_common::{DetRng, FileId, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
@@ -352,11 +352,11 @@ impl DowngradePolicy for HybridDowngrade {
         tier: StorageTier,
         now: SimTime,
     ) -> Vec<PhasePlan> {
-        // The first `xgb_candidates` non-hot residents in watermark order
+        // The first `XGB_CANDIDATES` non-hot residents in watermark order
         // form the window; the predictor picks within it.
         watermark_scan_phases(
             &self.bands,
-            self.cfg.xgb_candidates,
+            XGB_CANDIDATES,
             pool,
             dfs,
             tier,
@@ -381,13 +381,7 @@ impl DowngradePolicy for HybridDowngrade {
     }
 
     fn on_tick(&mut self, dfs: &TieredDfs, now: SimTime) {
-        sample_files(
-            &mut self.predictor,
-            dfs,
-            now,
-            self.cfg.sample_files_per_tick,
-            &mut self.rng,
-        );
+        sample_files(&mut self.predictor, dfs, now, &mut self.rng);
     }
 }
 

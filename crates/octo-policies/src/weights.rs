@@ -11,9 +11,16 @@
 
 use crate::framework::{DowngradePolicy, TieringConfig, UpgradePolicy};
 use crate::parallel::{encode_f64, exhaustive_phase, Candidate, PhasePlan};
-use octo_common::{ByteSize, FileId, SimTime, StorageTier};
+use octo_common::{ByteSize, FileId, SimDuration, SimTime, StorageTier};
 use octo_dfs::{EpochPool, TieredDfs};
 use std::collections::HashMap;
+
+/// LRFU half-life `H` (Formula 1; §5.2, 6 hours).
+const LRFU_HALF_LIFE: SimDuration = SimDuration::from_hours(6);
+
+/// EXD decay constant α per millisecond (§5.2; 1.16e-8 following Big SQL —
+/// interpreted per-ms, giving a ≈16.6 h half-life).
+const EXD_ALPHA: f64 = 1.16e-8;
 
 /// How a weight decays with the time since its last update.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,18 +62,16 @@ impl WeightTracker {
         }
     }
 
-    /// LRFU's tracker: Formula 1 with the config's half-life.
-    fn lrfu(cfg: &TieringConfig) -> Self {
+    /// LRFU's tracker: Formula 1 with [`LRFU_HALF_LIFE`].
+    fn lrfu() -> Self {
         WeightTracker::new(DecayKind::HalfLife {
-            h_ms: cfg.lrfu_half_life.as_millis() as f64,
+            h_ms: LRFU_HALF_LIFE.as_millis() as f64,
         })
     }
 
-    /// EXD's tracker: Formula 2 with the config's α.
-    fn exd(cfg: &TieringConfig) -> Self {
-        WeightTracker::new(DecayKind::Exponential {
-            alpha: cfg.exd_alpha,
-        })
+    /// EXD's tracker: Formula 2 with [`EXD_ALPHA`].
+    fn exd() -> Self {
+        WeightTracker::new(DecayKind::Exponential { alpha: EXD_ALPHA })
     }
 
     /// Registers a new file (weight 0 until first accessed, so the first
@@ -107,15 +112,15 @@ pub struct WeightDowngrade {
 }
 
 impl WeightDowngrade {
-    /// LRFU, with Formula 1's half-life from the config.
+    /// LRFU, with Formula 1's half-life.
     pub fn lrfu(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::lrfu(&cfg);
+        let tracker = WeightTracker::lrfu();
         WeightDowngrade { cfg, tracker }
     }
 
-    /// EXD (Big SQL), with Formula 2's α from the config.
+    /// EXD (Big SQL), with Formula 2's α.
     pub fn exd(cfg: TieringConfig) -> Self {
-        let tracker = WeightTracker::exd(&cfg);
+        let tracker = WeightTracker::exd();
         WeightDowngrade { cfg, tracker }
     }
 }
@@ -176,7 +181,7 @@ impl LrfuUpgrade {
     pub fn new(cfg: TieringConfig) -> Self {
         LrfuUpgrade {
             threshold: cfg.lrfu_upgrade_threshold,
-            tracker: WeightTracker::lrfu(&cfg),
+            tracker: WeightTracker::lrfu(),
         }
     }
 }
@@ -211,11 +216,11 @@ pub struct ExdUpgrade {
     tracker: WeightTracker,
 }
 
-impl ExdUpgrade {
-    /// EXD upgrade with Formula 2's α from the config.
-    pub fn new(cfg: TieringConfig) -> Self {
+impl Default for ExdUpgrade {
+    /// EXD upgrade with Formula 2's α.
+    fn default() -> Self {
         ExdUpgrade {
-            tracker: WeightTracker::exd(&cfg),
+            tracker: WeightTracker::exd(),
         }
     }
 }

@@ -30,8 +30,17 @@ pub const DOWNGRADE_WINDOW: SimDuration = SimDuration::from_hours(6);
 /// Forward-looking window of the upgrade model.
 pub const UPGRADE_WINDOW: SimDuration = SimDuration::from_mins(30);
 
-/// Samples up to `n` committed files deterministically and feeds them to the
-/// predictor as (mostly negative) training points.
+/// How many LRU/MRU candidates the XGB policies score (§5.2/§6.1, 200).
+pub(crate) const XGB_CANDIDATES: usize = 200;
+
+/// XGB discrimination threshold (§6.1, 0.5).
+const XGB_THRESHOLD: f64 = 0.5;
+
+/// How many files the periodic tick samples for training data (§4.2).
+const SAMPLE_FILES_PER_TICK: usize = 64;
+
+/// Samples up to [`SAMPLE_FILES_PER_TICK`] committed files deterministically
+/// and feeds them to the predictor as (mostly negative) training points.
 ///
 /// Index sampling, not a scan: each draw picks a uniform rank over the
 /// committed files and resolves it through the file table's O(log n)
@@ -44,14 +53,13 @@ pub(crate) fn sample_files(
     predictor: &mut AccessPredictor,
     dfs: &TieredDfs,
     now: SimTime,
-    n: usize,
     rng: &mut DetRng,
 ) {
     let committed = dfs.committed_file_count();
     if committed == 0 {
         return;
     }
-    for _ in 0..n.min(committed) {
+    for _ in 0..SAMPLE_FILES_PER_TICK.min(committed) {
         let f = dfs
             .nth_committed_file(rng.index(committed))
             .expect("rank drawn below the committed count");
@@ -156,14 +164,14 @@ impl DowngradePolicy for XgbDowngrade {
         // chosen: the paper's candidate pool.
         let budget = shard_budget(
             victim_hint(dfs, tier, self.cfg.stop_threshold),
-            self.cfg.xgb_candidates,
+            XGB_CANDIDATES,
         );
         let predictor = &self.predictor;
         let shards = pool.scan_shards(dfs, |v| {
             xgb_scan_shard(predictor, v.dfs(), v.shard(), tier, now, None, budget)
         });
         vec![PhasePlan {
-            window: self.cfg.xgb_candidates,
+            window: XGB_CANDIDATES,
             shards,
         }]
     }
@@ -187,13 +195,7 @@ impl DowngradePolicy for XgbDowngrade {
     }
 
     fn on_tick(&mut self, dfs: &TieredDfs, now: SimTime) {
-        sample_files(
-            &mut self.predictor,
-            dfs,
-            now,
-            self.cfg.sample_files_per_tick,
-            &mut self.rng,
-        );
+        sample_files(&mut self.predictor, dfs, now, &mut self.rng);
     }
 }
 
@@ -251,7 +253,7 @@ impl XgbUpgrade {
     ///
     /// A pick walks the `k` most recently used files that are not already
     /// chosen, movable and not fully in memory, and keeps the first one
-    /// with the highest probability strictly above `xgb_threshold`. The
+    /// with the highest probability strictly above [`XGB_THRESHOLD`]. The
     /// hybrid's bands veto cold files within that window. The model, the
     /// statistics and `now` stay fixed within a run, so each file is
     /// scored once however many picks it competes in.
@@ -292,7 +294,7 @@ impl XgbUpgrade {
                     && dfs.is_movable(*f)
                     && !dfs.file_fully_on_tier(*f, StorageTier::Memory)
             })
-            .take(self.cfg.xgb_candidates);
+            .take(XGB_CANDIDATES);
         let mut best: Option<(FileId, f64)> = None;
         for f in window {
             if let Some(bands) = &self.bands {
@@ -307,7 +309,7 @@ impl XgbUpgrade {
             let Some(p) = score else {
                 continue;
             };
-            if p <= self.cfg.xgb_threshold {
+            if p <= XGB_THRESHOLD {
                 continue;
             }
             if best.is_none_or(|(_, bp)| p > bp) {
@@ -365,12 +367,6 @@ impl UpgradePolicy for XgbUpgrade {
     }
 
     fn on_tick(&mut self, dfs: &TieredDfs, now: SimTime) {
-        sample_files(
-            &mut self.predictor,
-            dfs,
-            now,
-            self.cfg.sample_files_per_tick,
-            &mut self.rng,
-        );
+        sample_files(&mut self.predictor, dfs, now, &mut self.rng);
     }
 }

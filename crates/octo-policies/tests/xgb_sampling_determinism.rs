@@ -130,8 +130,8 @@ impl Lifecycle for dyn UpgradePolicy {
 /// holey one must agree for the XGB digest to hold. A scrambled but
 /// deterministic cold history follows, plus a handful of files re-touched
 /// late so the tick windows see both labels, then three monitor ticks,
-/// each drawing `sample_files_per_tick` ranks from the committed set and
-/// training on the outcome.
+/// each drawing the per-tick training sample (64 ranks, §4.2) from the
+/// committed set and training on the outcome.
 fn populate(dfs: &mut TieredDfs, policy: &mut (impl Lifecycle + ?Sized)) -> Vec<FileId> {
     let mut files = Vec::new();
     for i in 0..36u64 {

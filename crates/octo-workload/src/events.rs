@@ -168,29 +168,17 @@ impl WireEvent {
     }
 }
 
-/// Parameters for lowering an event trace into a job-level [`Trace`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CompileConfig {
-    /// Output bytes of a compiled read-job as a fraction of its input (the
-    /// simulator models MapReduce jobs, which always write something).
-    pub output_ratio: f64,
-    /// Whether compiled job outputs are durable (stay in the DFS) or
-    /// temporary (deleted by the simulator after its output TTL).
-    pub durable_outputs: bool,
-    /// Floor for compiled output sizes, so tiny inputs still produce a
-    /// representable output block.
-    pub min_output: ByteSize,
-}
+/// Output bytes of a compiled read-job as a fraction of its input (the
+/// simulator models MapReduce jobs, which always write something).
+const OUTPUT_RATIO: f64 = 0.2;
 
-impl Default for CompileConfig {
-    fn default() -> Self {
-        CompileConfig {
-            output_ratio: 0.2,
-            durable_outputs: false,
-            min_output: ByteSize::kb(64),
-        }
-    }
-}
+/// Whether compiled job outputs are durable (stay in the DFS) or temporary
+/// (deleted by the simulator after its output TTL).
+const DURABLE_OUTPUTS: bool = false;
+
+/// Floor for compiled output sizes, so tiny inputs still produce a
+/// representable output block.
+const MIN_OUTPUT: ByteSize = ByteSize::kb(64);
 
 /// A named, replayable access log.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -357,7 +345,10 @@ impl EventTrace {
     /// * `delete` of a live path schedules its removal; deleting an
     ///   unknown path is an error.
     /// * zero-byte writes are rejected (every DFS file holds ≥ 1 block).
-    pub fn compile(&self, cfg: &CompileConfig) -> Result<Trace, TraceError> {
+    ///
+    /// Each job writes a temporary output of a fifth of its input size, at
+    /// least 64 KiB.
+    pub fn compile(&self) -> Result<Trace, TraceError> {
         let events = self.sorted_events();
         let mut files: Vec<FileSpec> = Vec::new();
         let mut jobs: Vec<JobSpec> = Vec::new();
@@ -394,15 +385,14 @@ impl EventTrace {
                         });
                     };
                     let spec = &files[input];
-                    let out = ByteSize::from_bytes(
-                        (spec.size.as_bytes() as f64 * cfg.output_ratio) as u64,
-                    )
-                    .max(cfg.min_output);
+                    let out =
+                        ByteSize::from_bytes((spec.size.as_bytes() as f64 * OUTPUT_RATIO) as u64)
+                            .max(MIN_OUTPUT);
                     jobs.push(JobSpec {
                         submit: e.at,
                         input,
                         output_size: out,
-                        output_durable: cfg.durable_outputs,
+                        output_durable: DURABLE_OUTPUTS,
                         bin: spec.bin,
                     });
                 }
@@ -533,7 +523,7 @@ mod tests {
 
     #[test]
     fn compile_builds_files_jobs_and_deletes() {
-        let trace = sample().compile(&CompileConfig::default()).unwrap();
+        let trace = sample().compile().unwrap();
         assert_eq!(trace.kind, TraceKind::Synthetic);
         assert_eq!(trace.files.len(), 2);
         assert_eq!(trace.jobs.len(), 2);
@@ -560,12 +550,12 @@ mod tests {
             ],
         );
         assert!(matches!(
-            dup.compile(&CompileConfig::default()),
+            dup.compile(),
             Err(TraceError::Compile { event: 1, .. })
         ));
 
         let unknown = EventTrace::new("x", vec![ev(0, 0, TraceOp::Read, "/a", ByteSize::mb(1))]);
-        assert!(unknown.compile(&CompileConfig::default()).is_err());
+        assert!(unknown.compile().is_err());
 
         let after_delete = EventTrace::new(
             "x",
@@ -576,12 +566,12 @@ mod tests {
             ],
         );
         assert!(matches!(
-            after_delete.compile(&CompileConfig::default()),
+            after_delete.compile(),
             Err(TraceError::Compile { event: 2, .. })
         ));
 
         let zero = EventTrace::new("x", vec![ev(0, 0, TraceOp::Write, "/a", ByteSize::ZERO)]);
-        assert!(zero.compile(&CompileConfig::default()).is_err());
+        assert!(zero.compile().is_err());
     }
 
     #[test]
@@ -595,7 +585,7 @@ mod tests {
                 ev(30, 0, TraceOp::Read, "/a", ByteSize::mb(2)),
             ],
         );
-        let trace = t.compile(&CompileConfig::default()).unwrap();
+        let trace = t.compile().unwrap();
         assert_eq!(trace.files.len(), 2);
         assert_eq!(trace.jobs[0].input, 1, "read binds to the re-created file");
     }
@@ -609,17 +599,17 @@ mod tests {
                 ev(0, 0, TraceOp::Write, "/a", ByteSize::mb(1)),
             ],
         );
-        let trace = t.compile(&CompileConfig::default()).unwrap();
+        let trace = t.compile().unwrap();
         assert_eq!(trace.files.len(), 1);
         assert_eq!(trace.jobs.len(), 1);
     }
 
     #[test]
     fn traces_with_different_names_differ() {
-        let a = sample().compile(&CompileConfig::default()).unwrap();
+        let a = sample().compile().unwrap();
         let mut renamed = sample();
         renamed.name = "other".to_string();
-        let b = renamed.compile(&CompileConfig::default()).unwrap();
+        let b = renamed.compile().unwrap();
         assert_ne!(a, b);
         assert_eq!(a.files, b.files);
     }

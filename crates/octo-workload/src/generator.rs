@@ -25,6 +25,9 @@ use crate::trace::{FileSpec, JobSpec, Trace, TraceKind};
 use octo_common::{ByteSize, DetRng, SimDuration, SimTime, ZipfSampler};
 use serde::{Deserialize, Serialize};
 
+/// Output bytes as a fraction of input bytes, `[lo, hi)` uniform.
+const OUTPUT_RATIO: (f64, f64) = (0.10, 0.40);
+
 /// Generator parameters. [`WorkloadConfig::facebook`] and
 /// [`WorkloadConfig::cmu`] encode the paper's two workloads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -49,8 +52,6 @@ pub struct WorkloadConfig {
     pub long_gap_fraction: f64,
     /// Probability a job's output is durable (stays in the DFS unread).
     pub durable_output_fraction: f64,
-    /// Output bytes as a fraction of input bytes, `[lo, hi)` uniform.
-    pub output_ratio: (f64, f64),
     /// Fraction of extra ingested datasets that no job ever reads.
     pub unused_input_fraction: f64,
     /// Multiplies every file/output size (the §7.5 scalability runs scale
@@ -72,7 +73,6 @@ impl WorkloadConfig {
             long_gap: SimDuration::from_mins(110),
             long_gap_fraction: 0.2,
             durable_output_fraction: 0.11,
-            output_ratio: (0.10, 0.40),
             unused_input_fraction: 0.05,
             data_scale: 1.0,
         }
@@ -91,7 +91,6 @@ impl WorkloadConfig {
             long_gap: SimDuration::from_mins(120),
             long_gap_fraction: 0.75,
             durable_output_fraction: 0.10,
-            output_ratio: (0.10, 0.40),
             unused_input_fraction: 0.04,
             data_scale: 1.0,
         }
@@ -203,7 +202,7 @@ pub fn generate(cfg: &WorkloadConfig, seed: u64) -> Trace {
                         break;
                     }
                 }
-                let out_ratio = rng.range_f64(cfg.output_ratio.0, cfg.output_ratio.1);
+                let out_ratio = rng.range_f64(OUTPUT_RATIO.0, OUTPUT_RATIO.1);
                 jobs.push(JobSpec {
                     submit: t,
                     input: file_idx,

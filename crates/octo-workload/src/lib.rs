@@ -35,7 +35,7 @@ pub mod synth;
 pub mod trace;
 
 pub use bins::SizeBin;
-pub use events::{CompileConfig, EventTrace, TraceError, TraceEvent, TraceOp};
+pub use events::{EventTrace, TraceError, TraceEvent, TraceOp};
 pub use faults::{FaultConfig, FaultEvent, FaultKind, FaultSchedule};
 pub use generator::{generate, WorkloadConfig};
 pub use synth::{synthesize, synthesize_mix, AccessPattern, MixConfig, SynthConfig};

@@ -65,6 +65,9 @@ impl AccessPattern {
     }
 }
 
+/// Fraction of files deleted shortly after their last read.
+const DELETE_FRACTION: f64 = 0.1;
+
 /// Generator parameters. The [`SynthConfig::diurnal`], [`SynthConfig::bursty`]
 /// and [`SynthConfig::heavy_tailed`] presets are sized for quick-mode
 /// simulation (a few hundred events over two simulated hours).
@@ -85,8 +88,6 @@ pub struct SynthConfig {
     pub duration: SimDuration,
     /// File sizes are log-uniform in `[min, max)`.
     pub file_size: (ByteSize, ByteSize),
-    /// Fraction of files deleted shortly after their last read.
-    pub delete_fraction: f64,
 }
 
 impl SynthConfig {
@@ -99,7 +100,6 @@ impl SynthConfig {
             clients: 16,
             duration: SimDuration::from_hours(2),
             file_size: (ByteSize::mb(4), ByteSize::mb(384)),
-            delete_fraction: 0.1,
         }
     }
 
@@ -326,7 +326,7 @@ pub fn synthesize(cfg: &SynthConfig, seed: u64) -> EventTrace {
 
     // A slice of the files is deleted shortly after their final read
     // (never-read files count their write as the final access).
-    let n_delete = ((cfg.files as f64) * cfg.delete_fraction).round() as usize;
+    let n_delete = ((cfg.files as f64) * DELETE_FRACTION).round() as usize;
     for i in 0..n_delete.min(cfg.files) {
         // Spread deletions across the file set deterministically.
         let file = (i * cfg.files) / n_delete.max(1);
@@ -348,7 +348,6 @@ pub fn synthesize(cfg: &SynthConfig, seed: u64) -> EventTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::CompileConfig;
 
     #[test]
     fn synthesis_is_deterministic() {
@@ -373,7 +372,7 @@ mod tests {
             SynthConfig::heavy_tailed(),
         ] {
             let t = synthesize(&cfg, 3);
-            let trace = t.compile(&CompileConfig::default()).expect("compiles");
+            let trace = t.compile().expect("compiles");
             assert_eq!(trace.files.len(), cfg.files);
             assert!(trace.jobs.len() >= cfg.reads, "every read becomes a job");
             assert!(!trace.deletes.is_empty());

@@ -6,7 +6,7 @@
 //! round-trip proptests cover.
 
 use octo_common::{ByteSize, SimTime};
-use octo_workload::{CompileConfig, EventTrace, TraceError, TraceEvent, TraceOp};
+use octo_workload::{EventTrace, TraceError, TraceEvent, TraceOp};
 
 fn ev(at_ms: u64, client: u32, op: TraceOp, path: &str, bytes: u64) -> TraceEvent {
     TraceEvent {
@@ -23,7 +23,7 @@ fn ev(at_ms: u64, client: u32, op: TraceOp, path: &str, bytes: u64) -> TraceEven
 #[test]
 fn empty_trace_compiles_to_an_empty_schedule() {
     let t = EventTrace::new("empty", Vec::new());
-    let trace = t.compile(&CompileConfig::default()).unwrap();
+    let trace = t.compile().unwrap();
     assert!(trace.files.is_empty());
     assert!(trace.jobs.is_empty());
     assert!(trace.deletes.is_empty());
@@ -65,7 +65,7 @@ fn out_of_order_timestamps_compile_in_time_order() {
 {\"at_ms\":0,\"client\":0,\"op\":\"write\",\"path\":\"/d/a\",\"bytes\":1048576}
 ";
     let t = EventTrace::from_jsonl("ooo", text).unwrap();
-    let trace = t.compile(&CompileConfig::default()).unwrap();
+    let trace = t.compile().unwrap();
     assert_eq!(trace.files.len(), 1);
     assert_eq!(trace.jobs.len(), 1);
     assert_eq!(trace.jobs[0].submit, SimTime::from_secs(60));
@@ -83,7 +83,7 @@ fn same_instant_events_keep_file_order() {
             ev(5_000, 1, TraceOp::Read, "/d/x", 1 << 20),
         ],
     );
-    assert_eq!(ok.compile(&CompileConfig::default()).unwrap().jobs.len(), 1);
+    assert_eq!(ok.compile().unwrap().jobs.len(), 1);
 
     let bad = EventTrace::new(
         "tie",
@@ -92,7 +92,7 @@ fn same_instant_events_keep_file_order() {
             ev(5_000, 0, TraceOp::Write, "/d/x", 1 << 20),
         ],
     );
-    match bad.compile(&CompileConfig::default()).unwrap_err() {
+    match bad.compile().unwrap_err() {
         TraceError::Compile { event, msg } => {
             assert_eq!(event, 0, "the read is first in stable time order");
             assert!(msg.contains("unknown or deleted"), "{msg}");
@@ -113,7 +113,7 @@ fn delete_before_open_is_an_event_numbered_error() {
             ev(20_000, 1, TraceOp::Open, "/d/a", 1 << 20),
         ],
     );
-    match t.compile(&CompileConfig::default()).unwrap_err() {
+    match t.compile().unwrap_err() {
         TraceError::Compile { event, msg } => {
             assert_eq!(event, 2);
             assert!(msg.contains("/d/a"), "{msg}");
@@ -125,7 +125,7 @@ fn delete_before_open_is_an_event_numbered_error() {
 #[test]
 fn delete_of_never_written_path_is_an_error() {
     let t = EventTrace::new("del", vec![ev(0, 0, TraceOp::Delete, "/ghost", 0)]);
-    match t.compile(&CompileConfig::default()).unwrap_err() {
+    match t.compile().unwrap_err() {
         TraceError::Compile { event, msg } => {
             assert_eq!(event, 0);
             assert!(msg.contains("unknown path"), "{msg}");
@@ -151,7 +151,7 @@ fn duplicate_client_ids_are_legal_and_round_trip() {
             ev(4_000, 7, TraceOp::Read, "/d/a", 1 << 20),
         ],
     );
-    let trace = t.compile(&CompileConfig::default()).unwrap();
+    let trace = t.compile().unwrap();
     assert_eq!(trace.files.len(), 2);
     assert_eq!(trace.jobs.len(), 3);
     let jsonl = EventTrace::from_jsonl("dup", &t.to_jsonl()).unwrap();

@@ -19,9 +19,7 @@
 
 use octopuspp::cluster::Scenario;
 use octopuspp::experiments::{run_matrix, ExpSettings, FaultPlan, MatrixSpec, MatrixWorkload};
-use octopuspp::workload::{
-    synthesize, CompileConfig, FaultConfig, FaultSchedule, SynthConfig, TraceKind,
-};
+use octopuspp::workload::{synthesize, FaultConfig, FaultSchedule, SynthConfig, TraceKind};
 use std::time::Instant;
 
 fn main() {
@@ -34,7 +32,6 @@ fn main() {
     let zipf = octopuspp::workload::EventTrace::from_jsonl("zipf", &zipf.to_jsonl())
         .expect("own serialization parses");
     let bursty = synthesize(&SynthConfig::bursty(), settings.seed ^ 0xB);
-    let compile = CompileConfig::default();
 
     let spec = MatrixSpec {
         scenarios: vec![
@@ -45,8 +42,8 @@ fn main() {
         ],
         workloads: vec![
             MatrixWorkload::from_trace("FB", settings.trace(TraceKind::Facebook)),
-            MatrixWorkload::from_events(&zipf, &compile).expect("zipf trace compiles"),
-            MatrixWorkload::from_events(&bursty, &compile).expect("bursty trace compiles"),
+            MatrixWorkload::from_events(&zipf).expect("zipf trace compiles"),
+            MatrixWorkload::from_events(&bursty).expect("bursty trace compiles"),
         ],
         faults: vec![
             FaultPlan::none(),
