@@ -216,6 +216,89 @@ fn xgb_tick_sampling_and_victims_are_pinned() {
     );
 }
 
+/// Files in the wide namespace: more than XGB's candidate window of 200.
+const WIDE_FILES: u64 = 320;
+
+/// Like `populate`, over [`WIDE_FILES`] files of 8 MB that all fit in
+/// memory, so the LRU walk over memory is longer than the candidate window.
+fn populate_wide(dfs: &mut TieredDfs, policy: &mut (impl Lifecycle + ?Sized)) -> Vec<FileId> {
+    let mut files = Vec::new();
+    for i in 0..WIDE_FILES {
+        let now = SimTime::from_secs(i);
+        let plan = dfs
+            .create_file(&format!("/w/f{i}"), ByteSize::mb(8), now)
+            .unwrap();
+        dfs.commit_file(plan.file, now).unwrap();
+        policy.created(dfs, plan.file, now);
+        files.push(plan.file);
+    }
+    for &f in &files {
+        let i = f.raw() as usize;
+        for r in 0..(i * 7) % 3 + 1 {
+            let t = SimTime::from_secs(1_000 + ((i * 37 + r * 211) % 5_000) as u64);
+            dfs.record_access(f, t).unwrap();
+            policy.accessed(dfs, f, t);
+        }
+    }
+    for &f in &files {
+        if f.raw() % 7 == 0 {
+            let t = SimTime::from_secs(23_400);
+            dfs.record_access(f, t).unwrap();
+            policy.accessed(dfs, f, t);
+        }
+    }
+    for t in [22_000u64, 23_000, 24_000] {
+        policy.tick(dfs, SimTime::from_secs(t));
+    }
+    files
+}
+
+#[test]
+fn xgb_victims_depend_on_the_whole_candidate_window() {
+    let mut dfs = small_dfs();
+    let mut policy = XgbDowngrade::new(overfull_cfg(), quick_learner(), 7);
+    let files = populate_wide(&mut dfs, &mut policy as &mut dyn DowngradePolicy);
+    assert!(
+        files.iter().all(|f| dfs.file_fully_on_tier(*f, MEM)),
+        "every file must start in memory"
+    );
+    policy.predictor_mut().learner_mut().force_activate();
+    assert!(
+        policy.predictor().learner().is_active(),
+        "the sampled ticks must have trained a model"
+    );
+    let lru: Vec<u64> = dfs.tier_recency_iter(MEM).map(|(_, f)| f.raw()).collect();
+    let victims = victims(&mut dfs, Box::new(policy), &EpochPool::serial());
+
+    // The vacuity guard: a victim's depth is its position in the LRU walk
+    // among the files not chosen before it. Until the first victim deeper
+    // than 100 a window of 100 picks alike, so that victim makes a window
+    // of 100 pick otherwise.
+    let depths: Vec<usize> = victims
+        .iter()
+        .enumerate()
+        .map(|(k, v)| {
+            lru.iter()
+                .take_while(|f| *f != v)
+                .filter(|f| !victims[..k].contains(f))
+                .count()
+        })
+        .collect();
+    assert!(
+        depths.iter().all(|&d| d < 200),
+        "a victim past the window: {depths:?}"
+    );
+    assert!(
+        depths.iter().any(|&d| d >= 100),
+        "no victim from window positions 101-200: {depths:?}"
+    );
+    assert_eq!(
+        fnv1a(format!("{victims:?}").as_bytes()),
+        10_052_148_523_339_215_686,
+        "XGB victims over the wide window diverged (victims={victims:?})"
+    );
+}
+
 #[test]
 fn hybrid_active_model_victims_are_pinned_at_every_width() {
     // An activation error above 1 opens the gate as soon as the first
