@@ -142,8 +142,9 @@ const NEAR_TIE: f64 = 2e-12;
 #[derive(Debug, Clone)]
 struct TierTop {
     tier: StorageTier,
-    /// `(base, node)` of up to [`Ranked::keep`] cells: the highest bases,
-    /// equal bases in scan order.
+    /// `(base, node)` of as many cells as the block has replicas: the
+    /// highest bases, equal bases in scan order. A pick excludes fewer
+    /// nodes than that, so the tier's best candidate is among them.
     kept: Vec<(f64, u32)>,
     /// The two highest distinct bases among the cells not kept, `-inf`
     /// where there are fewer.
@@ -182,8 +183,14 @@ impl TierTop {
                 self.kept.pop();
                 push_rest(&mut rest, floor);
             }
-            let at = self.kept.partition_point(|&(b, _)| b >= cell.base);
-            self.kept.insert(at, (cell.base, node.0));
+            // Move the cell up past every kept cell of lower base; equal
+            // bases stay in scan order.
+            self.kept.push((cell.base, node.0));
+            let mut at = self.kept.len() - 1;
+            while at > 0 && self.kept[at - 1].0 < cell.base {
+                self.kept.swap(at - 1, at);
+                at -= 1;
+            }
             if self.kept.len() == keep {
                 floor = Some(self.kept[keep - 1].0);
             }
@@ -207,9 +214,6 @@ fn push_rest(rest: &mut [f64; 2], base: f64) {
 /// tier, enough of its best cells to answer every pick of the block.
 #[derive(Debug, Clone, Default)]
 struct Ranked {
-    /// Cells kept per tier: the block's replica count. A pick excludes
-    /// fewer nodes than that, so each tier keeps a candidate if it has one.
-    keep: usize,
     /// The candidate tiers in scan order, each once.
     tiers: Vec<TierTop>,
 }
@@ -221,9 +225,10 @@ impl Ranked {
     ///
     /// The scan keeps its best unless a later candidate scores above
     /// `best + 1e-12`. When no candidate scores in `[M - NEAR_TIE, M)`,
-    /// each candidate before the first with `M` scores below the bar `M`
-    /// must beat, and none after it beats `M + 1e-12`, so the scan answers
-    /// the same. Otherwise this returns `None` and the caller scans.
+    /// every candidate before the first with `M` scores below
+    /// `M - NEAR_TIE`, so `M` clears its bar, and none after it clears
+    /// `M + 1e-12`: the scan answers the same. Otherwise this returns
+    /// `None` and the caller scans.
     fn pick(
         &self,
         chosen: &[(NodeId, StorageTier)],
@@ -417,7 +422,6 @@ impl PlacementPolicy {
             table,
             ranked,
         } = self;
-        ranked.keep = keep;
         let mut n = 0;
         for &tier in allowed_initial_tiers.iter() {
             // A tier listed twice scans as its first listing.
@@ -1240,6 +1244,62 @@ mod tests {
         let [one_pass, scanned] = picks();
         assert!(one_pass > before[0], "no pick took the one-pass answer");
         assert!(scanned > before[1], "no pick met a near tie");
+    }
+
+    #[test]
+    fn an_exact_tie_across_tiers_goes_to_the_earlier_node() {
+        // Node 1's idle memory takes the first replica. For the second,
+        // node 2's idle memory, less one diversity penalty, and node 0's
+        // HDD, filled to the byte that matches it, score exactly alike:
+        // node 0 comes first in scan order.
+        let config = DfsConfig {
+            workers: 3,
+            tier_capacity: octo_common::PerTier::from_fn(|t| match t {
+                StorageTier::Hdd => ByteSize::from_bytes(1 << 52),
+                _ => ByteSize::gb(4),
+            }),
+            ..DfsConfig::default()
+        };
+        let mut nodes = NodeManager::new(&config);
+        let hdd = StorageTier::Hdd;
+        for node in [NodeId(1), NodeId(2)] {
+            nodes
+                .reserve(node, hdd, ByteSize::from_bytes(14 << 48))
+                .unwrap();
+        }
+        nodes
+            .reserve(NodeId(0), StorageTier::Memory, ByteSize::gb(2))
+            .unwrap();
+        let memory = read_cell(
+            nodes.device(NodeId(2), StorageTier::Memory),
+            StorageTier::Memory,
+        );
+        let target = memory.base - TIER_DIVERSITY_PENALTY;
+        let near = ((1.0 - (target - 0.15) / 0.35) * (1u64 << 52) as f64) as u64;
+        let fill = (near - 64..near + 64)
+            .find(|&bytes| {
+                let mut m = nodes.clone();
+                m.reserve(NodeId(0), hdd, ByteSize::from_bytes(bytes))
+                    .unwrap();
+                read_cell(m.device(NodeId(0), hdd), hdd).base == target
+            })
+            .expect("some fill scores exactly as penalized memory");
+        nodes
+            .reserve(NodeId(0), hdd, ByteSize::from_bytes(fill))
+            .unwrap();
+        let mut p = policy();
+        p.restrict_initial_tiers(&[StorageTier::Memory, hdd]);
+        let size = ByteSize::mb(128);
+        let before = picks();
+        let placed = p.place_new_block(&nodes, size, 2);
+        assert_eq!(placed, [(NodeId(1), StorageTier::Memory), (NodeId(0), hdd)]);
+        assert_eq!(placed, reference::place_new_block(&p, &nodes, size, 2));
+        let after = picks();
+        assert_eq!(
+            [after[0] - before[0], after[1] - before[1]],
+            [2, 0],
+            "both picks come from the one pass"
+        );
     }
 
     #[test]
