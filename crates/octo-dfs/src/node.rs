@@ -8,11 +8,7 @@
 //! Every node carries a change counter. Each call that can change one of
 //! its devices (reserve, commit, release, free, `io_started`,
 //! `io_finished`) or its liveness (`set_alive`) bumps it, so placement
-//! re-reads a node only when its counter moved since the last read. The
-//! same calls append the node to a change log, a ring of about one entry
-//! per node that is allocated at the first change, so a reader that is
-//! few changes behind learns which nodes to compare without walking all of
-//! them; one further behind than the ring holds compares every counter. A
+//! re-reads a node only when its counter moved since the last read. A
 //! manager also has a process-unique id, fresh for every clone, so a
 //! placement table never mistakes one manager's devices for another's.
 
@@ -95,12 +91,6 @@ pub struct NodeManager {
     /// Per-node change counter, bumped by every call that can change the
     /// node's devices or liveness.
     changes: Vec<u64>,
-    /// The nodes of the last `log.len()` counter bumps: bump `i` is at
-    /// `log[i % log.len()]`. Empty until the first bump; then the node
-    /// count rounded up to a power of two.
-    log: Vec<u32>,
-    /// Counter bumps so far, on all nodes together.
-    logged: u64,
     /// Unique among the managers of this process, clones included.
     id: u64,
 }
@@ -111,8 +101,6 @@ impl Clone for NodeManager {
             nodes: self.nodes.clone(),
             alive: self.alive.clone(),
             changes: self.changes.clone(),
-            log: self.log.clone(),
-            logged: self.logged,
             id: fresh_manager_id(),
         }
     }
@@ -130,8 +118,6 @@ impl NodeManager {
             nodes,
             alive,
             changes,
-            log: Vec::new(),
-            logged: 0,
             id: fresh_manager_id(),
         }
     }
@@ -145,34 +131,6 @@ impl NodeManager {
     /// counts mean nothing placement reads has changed in between.
     pub(crate) fn changes(&self, node: NodeId) -> u64 {
         self.changes[node.index()]
-    }
-
-    /// How many counter bumps this manager has made, on all nodes: the
-    /// position a reader passes to [`NodeManager::changed_since`] next.
-    pub(crate) fn logged(&self) -> u64 {
-        self.logged
-    }
-
-    /// The nodes whose counters were bumped since `logged` was `since`, a
-    /// node once per bump, or `None` when the log no longer holds them all.
-    pub(crate) fn changed_since(&self, since: u64) -> Option<impl Iterator<Item = NodeId> + '_> {
-        let behind = self.logged.checked_sub(since)?;
-        if behind > self.log.len() as u64 {
-            return None;
-        }
-        let mask = self.log.len().wrapping_sub(1);
-        Some((since..self.logged).map(move |i| NodeId(self.log[i as usize & mask])))
-    }
-
-    /// Bumps `node`'s change counter and logs the bump.
-    fn touch(&mut self, node: NodeId) {
-        self.changes[node.index()] += 1;
-        if self.log.is_empty() {
-            self.log = vec![0; self.nodes.len().next_power_of_two()];
-        }
-        let mask = self.log.len() - 1;
-        self.log[self.logged as usize & mask] = node.0;
-        self.logged += 1;
     }
 
     /// Number of worker nodes.
@@ -198,7 +156,7 @@ impl NodeManager {
     /// The only way to a mutable device, so every mutation bumps the
     /// node's change counter.
     fn device_mut(&mut self, node: NodeId, tier: StorageTier) -> &mut Device {
-        self.touch(node);
+        self.changes[node.index()] += 1;
         self.nodes[node.index()].get_mut(tier)
     }
 
@@ -216,7 +174,7 @@ impl NodeManager {
     /// Marks a node down. Idempotence is the caller's problem: the DFS
     /// facade rejects double-failures before touching accounting.
     pub fn set_alive(&mut self, node: NodeId, alive: bool) {
-        self.touch(node);
+        self.changes[node.index()] += 1;
         self.alive[node.index()] = alive;
     }
 
@@ -410,29 +368,5 @@ mod tests {
         }
         assert_eq!(m.changes(NodeId(0)), 0);
         assert_eq!(m.changes(NodeId(2)), 0);
-    }
-
-    #[test]
-    fn the_change_log_lists_bumps_until_it_wraps() {
-        let mut m = mgr();
-        assert!(m.log.is_empty(), "no log before the first change");
-        assert_eq!(m.changed_since(0).map(|c| c.count()), Some(0));
-        let t = StorageTier::Hdd;
-        m.io_started(NodeId(2), t);
-        m.io_started(NodeId(0), t);
-        m.io_finished(NodeId(2), t);
-        let since_start: Vec<NodeId> = m.changed_since(0).unwrap().collect();
-        assert_eq!(since_start, [NodeId(2), NodeId(0), NodeId(2)]);
-        let since_one: Vec<NodeId> = m.changed_since(1).unwrap().collect();
-        assert_eq!(since_one, [NodeId(0), NodeId(2)]);
-        assert_eq!(m.changed_since(m.logged()).unwrap().count(), 0);
-        // Three nodes log four bumps: a fifth overwrites the first.
-        m.set_alive(NodeId(1), false);
-        assert_eq!(m.changed_since(0).map(|c| c.count()), Some(4));
-        m.set_alive(NodeId(1), true);
-        assert!(m.changed_since(0).is_none(), "the first bump is gone");
-        let last_four: Vec<NodeId> = m.changed_since(1).unwrap().collect();
-        assert_eq!(last_four, [NodeId(0), NodeId(2), NodeId(1), NodeId(1)]);
-        assert!(m.changed_since(m.logged() + 1).is_none());
     }
 }

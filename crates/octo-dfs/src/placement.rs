@@ -21,16 +21,15 @@
 //! The policy keeps a table with one cell per `(node, tier)`: the device's
 //! committed bytes, its admission limit (`capacity × FILL_LIMIT`) and its
 //! score before the per-block terms, plus each node's liveness. The table
-//! is allocated on the first placement. Before each placement it compares
-//! the change counters of the nodes the [`NodeManager`] logged since the
-//! last read (all nodes when the log no longer reaches back that far) and
-//! re-reads those whose counter moved; a manager other than the one it
-//! last read is read whole. Every single-replica choice picks through one
-//! scan of the table: the fit test, the score (the cell's base, minus the
-//! diversity penalty, plus the locality bonus) and the `> best + 1e-12`
-//! rule are the ones a scan of the devices themselves would apply, in the
-//! same order and with the same floating-point operations, so every
-//! choice is bit-identical to reading the devices.
+//! is allocated on the first placement. Before each placement it re-reads
+//! only the nodes whose [`NodeManager`] change counter moved, and all of
+//! them when the manager is not the one it last read. Every single-replica
+//! choice picks through one scan of the table: the fit test, the score
+//! (the cell's base, minus the diversity penalty, plus the locality bonus)
+//! and the `> best + 1e-12` rule are the ones a scan of the devices
+//! themselves would apply, in the same order and with the same
+//! floating-point operations, so every choice is bit-identical to reading
+//! the devices.
 //!
 //! A new block of several replicas reads the table once, not once per
 //! replica. The pass keeps, per initial tier, the replica-count best
@@ -82,8 +81,6 @@ struct Cell {
 struct Table {
     /// `NodeManager::id` of the manager the cells were read from.
     manager: Option<u64>,
-    /// `NodeManager::logged` of that manager at the last read.
-    logged: u64,
     /// Per node: its change counter when its cells were read.
     seen: Vec<u64>,
     alive: Vec<bool>,
@@ -339,17 +336,13 @@ impl PlacementPolicy {
     }
 
     /// Brings the table up to date with `nodes`: re-reads each node whose
-    /// change counter moved, among the nodes the manager logged since the
-    /// last read, or among all when the log no longer reaches back that
-    /// far. A manager other than the one the table was read from is read
-    /// whole.
+    /// change counter moved, or every node when `nodes` is not the manager
+    /// the table was read from.
     fn refresh(&mut self, nodes: &NodeManager) {
-        let other = self.table.manager != Some(nodes.id());
-        if other {
+        if self.table.manager != Some(nodes.id()) {
             let n = nodes.len();
             self.table = Table {
                 manager: Some(nodes.id()),
-                logged: 0,
                 // Counters start at 0 and only grow: `u64::MAX` is "unread".
                 seen: vec![u64::MAX; n],
                 alive: vec![false; n],
@@ -357,11 +350,18 @@ impl PlacementPolicy {
             };
         }
         let table = &mut self.table;
-        match nodes.changed_since(table.logged).filter(|_| !other) {
-            Some(changed) => changed.for_each(|node| table.reread(nodes, node)),
-            None => nodes.node_ids().for_each(|node| table.reread(nodes, node)),
+        for node in nodes.node_ids() {
+            let i = node.index();
+            let changes = nodes.changes(node);
+            if table.seen[i] == changes {
+                continue;
+            }
+            table.seen[i] = changes;
+            table.alive[i] = nodes.is_alive(node);
+            for tier in StorageTier::ALL {
+                table.cells[i * 3 + tier.index()] = read_cell(nodes.device(node, tier), tier);
+            }
         }
-        table.logged = nodes.logged();
     }
 
     /// The cell of `(node, tier)`.
@@ -451,35 +451,53 @@ impl PlacementPolicy {
         n_replicas: u32,
     ) -> Vec<(NodeId, StorageTier)> {
         self.refresh(nodes);
-        let mut chosen: Vec<(NodeId, StorageTier)> = Vec::with_capacity(n_replicas as usize);
-        let mut tier_uses = [0u32; 3];
-        let one_pass = n_replicas > 1;
-        if one_pass {
-            self.rank(nodes, size, n_replicas as usize);
+        match n_replicas {
+            0 => Vec::new(),
+            1 => self
+                .best_candidate(
+                    nodes,
+                    size,
+                    &self.allowed_initial_tiers,
+                    &[],
+                    &[0; 3],
+                    None,
+                    false,
+                )
+                .into_iter()
+                .collect(),
+            k => self.place_replicas(nodes, size, k as usize),
         }
-        for _ in 0..n_replicas {
-            let ranked = if one_pass {
-                let ranked = self.ranked.pick(&chosen, &tier_uses);
-                count_pick(ranked.is_none());
-                ranked
-            } else {
-                None
-            };
-            let pick = match ranked {
-                Some(pick) => pick,
-                None => {
-                    let exclude: Vec<NodeId> = chosen.iter().map(|&(node, _)| node).collect();
-                    self.best_candidate(
-                        nodes,
-                        size,
-                        &self.allowed_initial_tiers,
-                        &exclude,
-                        &tier_uses,
-                        None,
-                        false,
-                    )
-                }
-            };
+    }
+
+    /// [`PlacementPolicy::place_new_block`] for `k >= 2` replicas: one
+    /// pass ranks the table, and a pick scans it only on a near tie.
+    /// Kept out of line: inlined into `place_new_block`, it slowed every
+    /// one-replica call, and with them `run_scale`'s ingest, by about 4%.
+    #[inline(never)]
+    fn place_replicas(
+        &mut self,
+        nodes: &NodeManager,
+        size: ByteSize,
+        k: usize,
+    ) -> Vec<(NodeId, StorageTier)> {
+        self.rank(nodes, size, k);
+        let mut chosen: Vec<(NodeId, StorageTier)> = Vec::with_capacity(k);
+        let mut tier_uses = [0u32; 3];
+        for _ in 0..k {
+            let ranked = self.ranked.pick(&chosen, &tier_uses);
+            count_pick(ranked.is_none());
+            let pick = ranked.unwrap_or_else(|| {
+                let exclude: Vec<NodeId> = chosen.iter().map(|&(node, _)| node).collect();
+                self.best_candidate(
+                    nodes,
+                    size,
+                    &self.allowed_initial_tiers,
+                    &exclude,
+                    &tier_uses,
+                    None,
+                    false,
+                )
+            });
             let Some((node, tier)) = pick else {
                 break;
             };
@@ -638,23 +656,6 @@ fn debug_check(nodes: &NodeManager, node: NodeId, tier: StorageTier, cell: &Cell
         read_cell(nodes.device(node, tier), tier),
         "placement cell of {node}/{tier} is stale: a mutation did not bump its counter"
     );
-}
-
-impl Table {
-    /// Re-reads `node`'s cells and liveness if its change counter moved
-    /// since they were read.
-    fn reread(&mut self, nodes: &NodeManager, node: NodeId) {
-        let i = node.index();
-        let changes = nodes.changes(node);
-        if self.seen[i] == changes {
-            return;
-        }
-        self.seen[i] = changes;
-        self.alive[i] = nodes.is_alive(node);
-        for tier in StorageTier::ALL {
-            self.cells[i * 3 + tier.index()] = read_cell(nodes.device(node, tier), tier);
-        }
-    }
 }
 
 /// The placement scan before the table, kept test-only as the oracle the

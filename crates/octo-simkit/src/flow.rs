@@ -60,7 +60,6 @@
 
 use octo_common::{ByteSize, FlowId, SimDuration, SimTime};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Index of a capacity resource inside a [`FlowModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,27 +83,6 @@ struct Flow {
     path: Vec<ResourceId>,
     remaining: f64,
     rate: f64,
-}
-
-/// Hashes a [`FlowId`] with one multiply (Fibonacci hashing) instead of
-/// SipHash. The driver issues the ids, so no outside input picks them.
-#[derive(Debug, Default)]
-struct FlowIdHasher(u64);
-
-impl Hasher for FlowIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0 ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    }
 }
 
 /// A snapshot of one flow's progress.
@@ -142,15 +120,16 @@ impl Scratch {
     /// Readies the pending set for a mutation's resources over a model
     /// with `n_resources` resources: starts an empty one unless resources
     /// are already pending. The per-resource buffers grow here, not in
-    /// `add_resource`, so building a model allocates them once.
+    /// `add_resource`, so building a model allocates them once; they grow
+    /// even while resources are pending, as one may have been added since.
     fn begin(&mut self, n_resources: usize) {
-        if self.dirty {
-            return;
-        }
         if self.in_component.len() < n_resources {
             self.in_component.resize(n_resources, 0);
             self.left_bps.resize(n_resources, 0.0);
             self.unfrozen.resize(n_resources, 0);
+        }
+        if self.dirty {
+            return;
         }
         self.stamp += 1;
         self.dirty = true;
@@ -175,7 +154,7 @@ pub struct FlowModel {
     /// its slot, so memory follows the live flows, not the ids issued.
     flows: Vec<Flow>,
     /// Slot of each live flow (looked up only, never iterated).
-    slot_of: HashMap<FlowId, usize, BuildHasherDefault<FlowIdHasher>>,
+    slot_of: HashMap<FlowId, usize>,
     scratch: Scratch,
     last_advance: SimTime,
     version: u64,
@@ -627,6 +606,19 @@ mod tests {
         m.cancel_flow(SimTime::ZERO, FlowId(1));
         assert_eq!(m.flow_state(FlowId(0)).unwrap().rate_bps, mbps(40.0));
         assert_eq!(m.flow_state(FlowId(2)).unwrap().rate_bps, mbps(40.0));
+    }
+
+    #[test]
+    fn a_resource_added_between_two_starts_at_one_instant_joins_them() {
+        // The second start joins a resource the pending set of the first
+        // start has no mark for yet.
+        let mut m = FlowModel::new();
+        let a = m.add_resource(mbps(100.0));
+        m.start_flow(SimTime::ZERO, FlowId(0), ByteSize::mb(100), vec![a]);
+        let b = m.add_resource(mbps(40.0));
+        m.start_flow(SimTime::ZERO, FlowId(1), ByteSize::mb(100), vec![a, b]);
+        assert_eq!(m.flow_state(FlowId(0)).unwrap().rate_bps, mbps(60.0));
+        assert_eq!(m.flow_state(FlowId(1)).unwrap().rate_bps, mbps(40.0));
     }
 
     #[test]
